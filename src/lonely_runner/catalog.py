@@ -12,6 +12,10 @@ from .torus import canonicalize_symmetry, d_plane
 Vec = tuple[int, ...]
 
 
+class UnsupportedRequest(ValueError):
+    """The catalog has no tight-instance data for the requested dimension and distance."""
+
+
 @dataclass(frozen=True)
 class SymmetrizedBasis:
     """Basis with tied leading pair: (p, p, *rest_u) and (q, -q, *rest_v)."""
@@ -134,7 +138,7 @@ def _enumerate_cached(n: int, d: Fraction) -> tuple:
     elif n == 4 and d == Fraction(1, 4):
         cands = _candidates_dim4()
     else:
-        raise ValueError("tight-instance data unavailable")
+        raise UnsupportedRequest("tight-instance data unavailable")
     seen = set()
     for cand in cands:
         u, v = cand.generators()

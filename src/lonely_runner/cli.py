@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalog import enumerate_2d_subtori
+from .catalog import UnsupportedRequest, enumerate_2d_subtori
 from .locus import finiteness, zero_locus
 from .spectrum import (
     Progression,
@@ -37,7 +37,6 @@ class JobConfig:
     d: Fraction | None = None
     bound: int | None = None
     fmt: str = "text"
-    tau_symmetry: bool = False
     trace: bool = False
     against: str | None = None
 
@@ -78,6 +77,13 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad fraction {text!r}")
+
+
+def parse_bound(bound: int | None) -> int | None:
+    """Reject a negative certification box bound."""
+    if bound is not None and bound < 0:
+        raise ParseError(f"bad bound {bound}: must be non-negative")
+    return bound
 
 
 def emit_json(payload) -> None:
@@ -142,7 +148,7 @@ def cmd_d(job: JobConfig) -> int:
 
 
 def cmd_spectrum(job: JobConfig) -> int:
-    ana = SpectrumAnalysis(*job.basis, tau_symmetry=job.tau_symmetry)
+    ana = SpectrumAnalysis(*job.basis)
     if job.trace:
         print(f"route {ana.route}", file=sys.stderr)
         for c, base, direction, recs in ana.flat_lines:
@@ -247,7 +253,7 @@ def cmd_certify(job: JobConfig) -> int:
     if job.against:
         loaded = load_description(job.against)
         bound = job.bound if job.bound is not None else loaded.certified_bound
-        fresh = SpectrumAnalysis(u, v, tau_symmetry=job.tau_symmetry).description(bound)
+        fresh = SpectrumAnalysis(u, v).description(bound)
         left, right = spectrum_payload(loaded), spectrum_payload(fresh)
         if left == right:
             print(f"verified against {job.against} at bound {bound}")
@@ -257,7 +263,7 @@ def cmd_certify(job: JobConfig) -> int:
                 print(f"mismatch {key}: file {left[key]!r} vs recomputed {right[key]!r}")
         return 1
     bound = job.bound if job.bound is not None else 200
-    desc = SpectrumAnalysis(u, v, tau_symmetry=job.tau_symmetry).description(bound)
+    desc = SpectrumAnalysis(u, v).description(bound)
     if job.fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["A", "B", "D_value", "classification"])
@@ -325,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--basis", required=True)
     p_s.add_argument("--bound", type=int, default=200, help="certification box bound")
     p_s.add_argument("--format", choices=("text", "json"), default="json")
-    p_s.add_argument("--tau-symmetry", action="store_true", help="use the mirror-class shortcut")
     p_s.add_argument("--trace", action="store_true", help="dump per-class records to stderr")
 
     p_e = sub.add_parser("enumerate", help="planes with a prescribed distance, up to symmetry")
@@ -345,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--basis", required=True)
     p_c.add_argument("--bound", type=int, default=None, help="certification box bound")
     p_c.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_c.add_argument("--tau-symmetry", action="store_true")
     p_c.add_argument("--against", help="verify a previously emitted spectrum JSON file")
     return parser
 
@@ -357,9 +361,8 @@ def job_from_args(args: argparse.Namespace) -> JobConfig:
         basis=parse_basis(args.basis) if getattr(args, "basis", None) else None,
         n=getattr(args, "n", None),
         d=parse_rational(args.d) if getattr(args, "d", None) else None,
-        bound=getattr(args, "bound", None),
+        bound=parse_bound(getattr(args, "bound", None)),
         fmt=getattr(args, "format", "text"),
-        tau_symmetry=getattr(args, "tau_symmetry", False),
         trace=getattr(args, "trace", False),
         against=getattr(args, "against", None),
     )
@@ -383,7 +386,7 @@ def main(argv=None) -> int:
             emit_json({"error": message})
         else:
             print(f"error: {message}", file=sys.stderr)
-        return 3 if message == "tight-instance data unavailable" else 1
+        return 3 if isinstance(e, UnsupportedRequest) else 1
 
 
 if __name__ == "__main__":

@@ -90,19 +90,6 @@ class CirclePWL:
             out.append((a, b))
         return out
 
-    def argmin_pieces(self) -> list[tuple]:
-        """Exhaustive argmin as ('point', t) and ('interval', a, b) entries, sorted by start."""
-        m = self.minimum
-        flats = self.flat_pieces_at_min()
-        flat = self._segment_flat_at_min()
-        n = len(self.breakpoints)
-        pieces: list[tuple] = [("interval", a, b) for a, b in flats]
-        for i in range(n):
-            if self.values[i] == m and not flat[i] and not flat[i - 1]:
-                pieces.append(("point", self.breakpoints[i]))
-        pieces.sort(key=lambda p: p[1])
-        return pieces
-
     def isolated_argmins(self) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
         """Entries (t, lambda_minus, lambda_plus, rho) for each isolated minimum point."""
         m = self.minimum
@@ -150,13 +137,6 @@ class CirclePWL:
                 if best is None or vk < best:
                     best = vk
         return None if best is None else best - m
-
-    def reflect(self) -> "CirclePWL":
-        """The function t -> f(-t)."""
-        if len(self.breakpoints) == 1:
-            return CirclePWL((Fraction(0),), self.values)
-        pts = sorted(((-t) % 1, v) for t, v in zip(self.breakpoints, self.values))
-        return CirclePWL(tuple(p[0] for p in pts), tuple(p[1] for p in pts))
 
 
 def make_pwl(points: list[tuple[Fraction, Fraction]]) -> CirclePWL:

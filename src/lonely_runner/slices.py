@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,28 +21,6 @@ class SliceStructure:
     K: int
     z: tuple[int, int, int, int]
     restrictions: tuple[CirclePWL, ...]
-
-    def q_form(self, A: int, B: int) -> int:
-        """Transverse coordinate of A*u + B*v in the adapted basis."""
-        return self.z[1] * A + self.z[3] * B
-
-    def a_form(self, A: int, B: int) -> int:
-        """Longitudinal coordinate of A*u + B*v in the adapted basis."""
-        return self.z[0] * A + self.z[2] * B
-
-
-@dataclass(frozen=True)
-class SlicePoints:
-    """Intersection of a parameterized line with one slice: q points per component."""
-
-    q: int
-    a: int
-    K: int
-    offsets: tuple[Fraction, ...]
-
-    def component_x(self, ell: int) -> list[Fraction]:
-        """x-coordinates (adapted first coordinate) of the points on component ell."""
-        return [Fraction(self.offsets[ell] + r, self.q) % 1 for r in range(self.q)]
 
 
 def _solve_coords(w: Vec, u: Vec, v: Vec) -> tuple[int, int]:
@@ -91,32 +68,3 @@ def slice_structure(u: Vec, v: Vec, i: int, j: int, eps: int) -> SliceStructure:
         for ell in range(K)
     )
     return SliceStructure(i, j, eps, u_prime, v_prime, K, (z1, z2, z3, z4), restrictions)
-
-
-def slice_points(s: SliceStructure, A: int, B: int) -> SlicePoints:
-    """Intersection data of the line through A*u + B*v with the slice; gcd(A, B) = 1 required."""
-    if math.gcd(A, B) != 1:
-        raise ValueError("parameters must be coprime")
-    qf = s.q_form(A, B)
-    if qf == 0:
-        raise ValueError("line lies in the slice identity component")
-    delta = 1 if qf > 0 else -1
-    q = abs(qf)
-    a = (delta * s.a_form(A, B)) % s.K
-    offsets = tuple(Fraction(a * ell, s.K) % 1 for ell in range(s.K))
-    return SlicePoints(q, a, s.K, offsets)
-
-
-def component_points(
-    s: SliceStructure, sp: SlicePoints, ell: int
-) -> list[tuple[Fraction, ...]]:
-    """Ambient torus points of the line's intersection with component ell of the slice."""
-    n = len(s.u_prime)
-    out = []
-    for x in sp.component_x(ell):
-        pt = tuple(
-            (x * s.u_prime[k] + Fraction(ell, s.K) * s.v_prime[k]) % 1
-            for k in range(n)
-        )
-        out.append(pt)
-    return out

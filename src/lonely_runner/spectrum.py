@@ -66,20 +66,17 @@ class ClassSetup:
     critical: tuple[Component, ...]
     m2: Fraction | None
     flats: tuple[Component, ...]
-    tau_symmetry: bool = False
     _tables: dict = field(default_factory=dict, repr=False)
-    _mirror: dict = field(default_factory=dict, repr=False)
     _m_prime: int | None = field(default=None, repr=False)
 
     def table(self, comp: Component, a: int):
-        """Certified gamma table for one component at parameter residue a."""
+        """Certified gamma table for one component at parameter residue a.
+
+        Components ell and K - ell share one table: f_{K-ell}(t) = f_ell(-t) and
+        their coset offsets are negatives of each other, so the coset minima agree.
+        """
         a = a % comp.K
-        if self.tau_symmetry:
-            # the mirrored component K - ell has an identical table
-            twin = self._mirror.get(comp.idx, comp.idx)
-            if twin < comp.idx:
-                comp = self.comps[twin]
-        key = (comp.idx, a)
+        key = (comp.i, comp.j, comp.eps, min(comp.ell, (comp.K - comp.ell) % comp.K), a)
         if key not in self._tables:
             b = Fraction(a * comp.ell, comp.K) % 1
             self._tables[key] = gamma_table(comp.f, b)
@@ -98,21 +95,19 @@ class ClassSetup:
         return self._m_prime
 
 
-def class_setup(u: Vec, v: Vec, tau_symmetry: bool = False) -> ClassSetup:
+def class_setup(u: Vec, v: Vec) -> ClassSetup:
     """Saturate, project, and collect every slice component with its linear forms."""
     u, v = saturate_plane(u, v)
     if not plane_proper(u, v):
         raise ValueError("improper subtorus")
     u, v = project_redundant(u, v)
     comps: list[Component] = []
-    mirror: dict[int, int] = {}
     n = len(u)
     for i in range(n):
         for j in range(i + 1, n):
             for eps in (1, -1):
                 s = slice_structure(u, v, i, j, eps)
                 z1, z2, z3, z4 = s.z
-                first = len(comps)
                 for ell in range(s.K):
                     f = s.restrictions[ell]
                     flat = tuple(b - a for a, b in f.flat_pieces_at_min())
@@ -121,26 +116,12 @@ def class_setup(u: Vec, v: Vec, tau_symmetry: bool = False) -> ClassSetup:
                             len(comps), i, j, eps, ell, s.K, z2, z4, z1, z3, f, f.minimum, flat
                         )
                     )
-                for ell in range(s.K):
-                    mirror[first + ell] = first + ((s.K - ell) % s.K)
     d = min(c.minimum for c in comps)
     critical = tuple(c for c in comps if c.minimum == d)
     rest = [c.minimum for c in comps if c.minimum > d]
     m2 = min(rest) if rest else None
     flats = tuple(c for c in critical if c.flat_lengths)
-    setup = ClassSetup(u, v, d, tuple(comps), critical, m2, flats, tau_symmetry)
-    setup._mirror.update(mirror)
-    return setup
-
-
-@dataclass(frozen=True)
-class HalfLine:
-    """Lattice half-line base + t*direction with the residues still needing analysis."""
-
-    base: tuple[int, int]
-    direction: tuple[int, int]
-    modulus: int
-    miss_residues: tuple[int, ...]
+    return ClassSetup(u, v, d, tuple(comps), critical, m2, flats)
 
 
 @dataclass(frozen=True)
@@ -381,11 +362,6 @@ def sector_decomposition(setup: ClassSetup, aleph: int, beth: int) -> list[Secto
     return merged
 
 
-def interior_rays(records: list[SectorRecord]) -> list[tuple[int, int]]:
-    """Boundary rays between merged sectors, excluding the vertical half-plane edges."""
-    return [r.start_ray for r in records if r.start_ray[0] != 0]
-
-
 def normalize_beta(alpha: Fraction, beta: Fraction, d: Fraction) -> Fraction:
     """Smallest offset congruent to beta mod alpha whose value stays below 1/2."""
     bar = 2 / (1 - 2 * d)
@@ -395,6 +371,16 @@ def normalize_beta(alpha: Fraction, beta: Fraction, d: Fraction) -> Fraction:
     if r <= bar:
         r += alpha * (math.floor((bar - r) / alpha) + 1)
     return r
+
+
+def progression_index(
+    d: Fraction, alpha: Fraction, beta: Fraction, value: Fraction
+) -> int | None:
+    """Index s with value = d + 1/(alpha*s + beta), or None when value is not a member."""
+    if value <= d:
+        return None
+    s = (1 / (value - d) - beta) / alpha
+    return int(s) if s.denominator == 1 and s >= 0 else None
 
 
 def _absorb(fams: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
@@ -437,30 +423,11 @@ def _witnesses(d: Fraction, alpha: Fraction, beta: Fraction, index: dict):
     return tuple(wit), tuple(unwit)
 
 
-def realize_progressions(setup: ClassSetup, record, sweep: dict | None = None) -> list[Progression]:
-    """Beta-normalized progression for one family record, with optional sweep witnesses."""
-    if isinstance(record, SectorRecord):
-        if record.kappa == 0:
-            return []
-        assert math.gcd(math.gcd(record.aleph, record.beth), setup.m_prime) == 1
-        alpha, beta = record.alpha, record.beta
-    else:
-        if record.outcome != "family":
-            return []
-        alpha, beta = record.alpha, record.beta
-    beta_n = normalize_beta(alpha, beta, setup.d_value)
-    wit: tuple = ()
-    unwit: tuple = ()
-    if sweep is not None:
-        wit, unwit = _witnesses(setup.d_value, alpha, beta_n, _value_index(sweep))
-    return [Progression(alpha, beta_n, wit, unwit)]
-
-
 class SpectrumAnalysis:
     """Route dispatcher: flat shortcut with strip lines, bounded flat locus, or sectors."""
 
-    def __init__(self, u: Vec, v: Vec, tau_symmetry: bool = False):
-        self.setup = class_setup(u, v, tau_symmetry)
+    def __init__(self, u: Vec, v: Vec):
+        self.setup = class_setup(u, v)
         s = self.setup
         self.flat_lines: list = []
         self.sector_records: dict = {}
@@ -527,8 +494,7 @@ class SpectrumAnalysis:
         for val in sorted(index):
             if val == d:
                 continue
-            x = 1 / (val - d)
-            if any((x - b) / a >= 0 and ((x - b) / a).denominator == 1 for a, b in fams):
+            if any(progression_index(d, a, b, val) is not None for a, b in fams):
                 continue
             exceptional.append((val, min(index[val])))
         return SpectrumDescription(d, tuple(progs), base_att, tuple(exceptional), certify_bound)
@@ -603,35 +569,9 @@ class SpectrumAnalysis:
         return None
 
 
-def analyze(u: Vec, v: Vec, tau_symmetry: bool = False) -> SpectrumAnalysis:
-    """Full spectrum analysis object for span(u, v)."""
-    return SpectrumAnalysis(u, v, tau_symmetry)
-
-
-def flat_shortcut(u: Vec, v: Vec) -> list[HalfLine] | None:
-    """Half-lines still needing analysis when flats exist; [] if bounded; None without flats."""
-    ana = SpectrumAnalysis(u, v)
-    if ana.route == "sector":
-        return None
-    if ana.route == "finite":
-        return []
-    out = []
-    for _, base, dd, recs in ana.flat_lines:
-        if not recs:
-            continue
-        mt = recs[0].modulus
-        miss = tuple(
-            r.residue for r in recs if r.outcome in ("family", "base", "constant")
-        )
-        out.append(HalfLine(base, dd, mt, miss))
-    return out
-
-
-def relative_spectrum(
-    u: Vec, v: Vec, certify_bound: int = 200, tau_symmetry: bool = False
-) -> SpectrumDescription:
+def relative_spectrum(u: Vec, v: Vec, certify_bound: int = 200) -> SpectrumDescription:
     """Certified description of the order-1 relative spectrum of span(u, v)."""
-    return SpectrumAnalysis(u, v, tau_symmetry).description(certify_bound)
+    return SpectrumAnalysis(u, v).description(certify_bound)
 
 
 @dataclass(frozen=True)
@@ -661,10 +601,8 @@ def classify_pairs(u: Vec, v: Vec, description: SpectrumDescription, bound: int)
         if val == d:
             yield pair[0], pair[1], val, "base"
             continue
-        x = 1 / (val - d)
         for a, b in fams:
-            t = (x - b) / a
-            if t.denominator == 1 and t >= 0:
+            if progression_index(d, a, b, val) is not None:
                 yield pair[0], pair[1], val, f"progression({a},{b})"
                 break
         else:

@@ -1,14 +1,13 @@
-"""Distance-to-half-center computations for points, lines, coset lines, and planes in the n-torus."""
+"""Distance-to-half-center computations for points, lines, and planes in the n-torus."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import permutations, product
 
 from . import _kernels
-from .exact import Vec, gcd_ext, minors2, saturate_plane
-from .pwl import build_restriction, dist_to_half
+from .exact import Vec, gcd_ext, saturate_plane
+from .pwl import dist_to_half
 from .slices import slice_structure
 
 
@@ -28,14 +27,6 @@ def d_line_oracle(w: Vec) -> Fraction:
         return Fraction(0)
     num, den = _kernels.d_line_raw(speeds)
     return Fraction(num, den)
-
-
-def d_coset_line(
-    base: tuple[Fraction | int, ...], direction: Vec
-) -> tuple[Fraction, list[tuple]]:
-    """Minimum of d_point along base + t*direction, with the exhaustive argmin pieces."""
-    f = build_restriction(base, direction)
-    return f.minimum, f.argmin_pieces()
 
 
 def plane_proper(u: Vec, v: Vec) -> bool:

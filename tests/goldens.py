@@ -20,15 +20,3 @@ FAMILY_SHALLOW = (Fr(25, 3), Fr(20, 3))
 # Tail of the shallow family starting one step later; used for the reverse check.
 FAMILY_SHALLOW_TAIL = (Fr(25, 3), Fr(15))
 
-
-def family_value(d, alpha, beta, s):
-    """Value of the progression d + 1/(alpha*s + beta) at index s."""
-    return d + 1 / (alpha * s + beta)
-
-
-def family_index(d, alpha, beta, value):
-    """Index of value in the progression, or None when it is not a member."""
-    if value <= d:
-        return None
-    s = (1 / (value - d) - beta) / alpha
-    return int(s) if s.denominator == 1 and s >= 0 else None

@@ -16,7 +16,6 @@ from goldens import (
     STRIP_TENTH_A,
     STRIP_TENTH_B,
     TENTH_PLANES,
-    family_index,
 )
 from lonely_runner.catalog import enumerate_2d_subtori
 from lonely_runner.exact import saturate_plane
@@ -27,6 +26,7 @@ from lonely_runner.spectrum import (
     SpectrumAnalysis,
     certify,
     normalize_beta,
+    progression_index,
 )
 from lonely_runner.torus import (
     canonicalize_symmetry,
@@ -175,7 +175,7 @@ def criterion_2():
         if {s for s, _ in prog.unwitnessed} - set(unwit_ok):
             return False, f"unexpected unwitnessed indices {prog.unwitnessed}"
         for v in box_values(plane, 300):
-            if v != Fr(1, 4) and family_index(Fr(1, 4), *fam, v) is None:
+            if v != Fr(1, 4) and progression_index(Fr(1, 4), *fam, v) is None:
                 notes.append(f"flag: stray value {v}")
         rep = certify(*plane, desc, 300)
         if rep.exceptional:
@@ -206,8 +206,8 @@ def criterion_3():
         flags |= {str(val) for val, _ in desc.exceptional_values}
         above |= {v for v in box_values(plane, 300) if v > d}
     for v in sorted(above):
-        if family_index(d, *FAMILY_STEEP, v) is None and (
-            family_index(d, *FAMILY_SHALLOW, v) is None
+        if progression_index(d, *FAMILY_STEEP, v) is None and (
+            progression_index(d, *FAMILY_SHALLOW, v) is None
         ):
             return False, f"value {v} escapes both maximal families"
     for s in range(41):
@@ -264,7 +264,7 @@ def criterion_4():
             ap, bp = -ap, -bp
         if sweep.get((ap, bp)) != val:
             return False, f"certified value at {pair} is {sweep.get((ap, bp))}"
-        if all(family_index(third, a, b, val) is None for a, b in fams):
+        if all(progression_index(third, a, b, val) is None for a, b in fams):
             return False, f"value at {pair} not covered by the families"
     return True, "both spot values found; both 1/6-scaled families emitted"
 
@@ -338,7 +338,7 @@ def _suite_gamma(rng, trials):
         for q in range(gt.q0, gt.q0 + 4 * gt.modulus + 1):
             want = f.minimum + gt.gamma[q % gt.modulus] / q
             if coset_min_direct(f, b, q) != want:
-                return f"gamma table wrong at q={q} for {f.points}"
+                return f"gamma table wrong at q={q} for {f.breakpoints}"
     return None
 
 

@@ -70,6 +70,8 @@ def test_parse_errors_exit_2(capsys):
     assert run(capsys, "d", "--vector", "1,x,3")[0] == 2
     assert run(capsys, "d", "--basis", "1,2,3;4,5")[0] == 2
     assert run(capsys, "enumerate", "--n", "3", "--d", "1/0")[0] == 2
+    assert run(capsys, "spectrum", "--basis", U2_BASIS, "--bound", "-5")[0] == 2
+    assert run(capsys, "certify", "--basis", U2_BASIS, "--bound", "-5")[0] == 2
 
 
 def test_argparse_rejects_unknown_choice():

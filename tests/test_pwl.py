@@ -18,6 +18,13 @@ from lonely_runner.pwl import (
 F = Fraction
 
 
+def argmin_pieces(f):
+    """Exhaustive argmin as ('interval', a, b) and ('point', t) entries, sorted by start."""
+    pieces = [("interval", a, b) for a, b in f.flat_pieces_at_min()]
+    pieces += [("point", t) for t, _, _, _ in f.isolated_argmins()]
+    return sorted(pieces, key=lambda p: p[1])
+
+
 def test_dist_to_half():
     assert dist_to_half(F(1, 2)) == 0
     assert dist_to_half(0) == F(1, 2)
@@ -35,7 +42,7 @@ def test_make_pwl_constant_normalizes():
     f = make_pwl([(F(1, 3), F(1, 5)), (F(2, 3), F(1, 5))])
     assert f.breakpoints == (F(0),)
     assert f.minimum == F(1, 5)
-    assert f.argmin_pieces() == [("interval", F(0), F(1))]
+    assert argmin_pieces(f) == [("interval", F(0), F(1))]
 
 
 def test_evaluate_wraparound():
@@ -49,7 +56,7 @@ def test_evaluate_wraparound():
 def test_build_restriction_speeds_1123():
     f = build_restriction((0, 0, 0, 0), (1, 1, 2, 3))
     assert f.minimum == F(1, 4)
-    assert f.argmin_pieces() == [("point", F(1, 4)), ("point", F(3, 4))]
+    assert argmin_pieces(f) == [("point", F(1, 4)), ("point", F(3, 4))]
     iso = {t: (lm, lp) for t, lm, lp, _ in f.isolated_argmins()}
     assert iso[F(1, 4)] == (F(1), F(3))
     assert iso[F(3, 4)] == (F(3), F(1))
@@ -65,7 +72,7 @@ def test_build_restriction_with_half_offsets():
 def test_build_restriction_constant_coordinate_interval():
     f = build_restriction((0, F(1, 4), F(2, 4), F(3, 4)), (1, 0, 0, 0))
     assert f.minimum == F(1, 4)
-    assert f.argmin_pieces() == [("interval", F(1, 4), F(3, 4))]
+    assert argmin_pieces(f) == [("interval", F(1, 4), F(3, 4))]
 
 
 def test_build_restriction_zero_coordinate_caps_at_half():
@@ -73,7 +80,7 @@ def test_build_restriction_zero_coordinate_caps_at_half():
     # so the envelope is the constant 1/2
     f = build_restriction((0, 0), (1, 0))
     assert f.minimum == F(1, 2)
-    assert f.argmin_pieces() == [("interval", F(0), F(1))]
+    assert argmin_pieces(f) == [("interval", F(0), F(1))]
 
 
 def test_build_restriction_matches_pointwise_random():
@@ -98,7 +105,9 @@ def test_reflect_matches_negated_direction():
         base = tuple(F(rng.randint(0, 5), 6) for _ in range(n))
         direction = tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n))
         neg = tuple(-d for d in direction)
-        assert build_restriction(base, neg) == build_restriction(base, direction).reflect()
+        f = build_restriction(base, direction)
+        reflected = make_pwl([(-t, v) for t, v in zip(f.breakpoints, f.values)])
+        assert build_restriction(base, neg) == reflected
 
 
 def test_approx_literals():

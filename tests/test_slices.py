@@ -7,16 +7,42 @@ from fractions import Fraction
 import pytest
 
 from lonely_runner.exact import minors2, saturate_plane
-from lonely_runner.slices import (
-    component_points,
-    slice_points,
-    slice_structure,
-)
+from lonely_runner.slices import slice_structure
 
 F = Fraction
 
 PLANE_0123 = ((0, 1, 2, 3), (1, 0, 0, 0))
 PLANE_1011 = ((1, 0, 1, 1), (1, 1, 0, 2))
+
+
+def q_form(s, A, B):
+    """Transverse coordinate of A*u + B*v in the slice's adapted basis."""
+    return s.z[1] * A + s.z[3] * B
+
+
+def a_form(s, A, B):
+    """Longitudinal coordinate of A*u + B*v in the slice's adapted basis."""
+    return s.z[0] * A + s.z[2] * B
+
+
+def line_offsets(s, A, B):
+    """(q, a, offsets): the line through A*u + B*v meets component ell at x = (offsets[ell] + r)/q."""
+    qf = q_form(s, A, B)
+    delta = 1 if qf > 0 else -1
+    a = (delta * a_form(s, A, B)) % s.K
+    return abs(qf), a, tuple(F(a * ell, s.K) % 1 for ell in range(s.K))
+
+
+def component_points(s, A, B, ell):
+    """Torus points where the line through A*u + B*v meets component ell of the slice."""
+    q, _, offsets = line_offsets(s, A, B)
+    return [
+        tuple(
+            (F(offsets[ell] + r, q) * s.u_prime[k] + F(ell, s.K) * s.v_prime[k]) % 1
+            for k in range(len(s.u_prime))
+        )
+        for r in range(q)
+    ]
 
 
 def test_structure_0123_slice_24_minus():
@@ -25,8 +51,8 @@ def test_structure_0123_slice_24_minus():
     assert s.u_prime == (1, 0, 0, 0)
     assert s.v_prime == (0, 1, 2, 3)
     # psi of A*u + B*v is (B, A)
-    assert all(s.q_form(A, B) == A for A in range(-3, 4) for B in range(-3, 4))
-    assert all(s.a_form(A, B) == B for A in range(-3, 4) for B in range(-3, 4))
+    assert all(q_form(s, A, B) == A for A in range(-3, 4) for B in range(-3, 4))
+    assert all(a_form(s, A, B) == B for A in range(-3, 4) for B in range(-3, 4))
 
 
 def test_structure_1011_slice_34_plus():
@@ -34,19 +60,19 @@ def test_structure_1011_slice_34_plus():
     assert s.K == 2
     # a is congruent to A mod 2, independently of the orientation sign
     for A, B in ((1, 0), (1, 2), (3, 4), (2, 1), (0, 1)):
-        if math.gcd(A, B) != 1 or s.q_form(A, B) == 0:
+        if math.gcd(A, B) != 1 or q_form(s, A, B) == 0:
             continue
-        sp = slice_points(s, A, B)
-        assert sp.a % 2 == A % 2
+        _, a, _ = line_offsets(s, A, B)
+        assert a % 2 == A % 2
 
 
 def test_structure_0123_slice_12_plus_k1():
     s = slice_structure(*PLANE_0123, 0, 1, 1)
     assert s.K == 1
     for A, B in ((1, 2), (2, 5), (1, -3)):
-        sp = slice_points(s, A, B)
-        assert sp.q == abs(B - A)
-        assert sp.offsets == (F(0),)
+        q, _, offsets = line_offsets(s, A, B)
+        assert q == abs(B - A)
+        assert offsets == (F(0),)
 
 
 def test_degenerate_slice_rejected():
@@ -54,23 +80,15 @@ def test_degenerate_slice_rejected():
         slice_structure((1, 1, 2), (0, 0, 1), 0, 1, 1)
 
 
-def test_slice_points_requires_coprime_and_transverse():
-    s = slice_structure(*PLANE_0123, 1, 3, -1)
-    with pytest.raises(ValueError, match="coprime"):
-        slice_points(s, 2, 4)
-    with pytest.raises(ValueError, match="identity component"):
-        slice_points(s, 0, 1)
-
-
 def test_slice_points_offset_example():
     # q_form = A, so q = 1 when A = 1; component 1 offset is (B mod 4)/4
     s = slice_structure(*PLANE_0123, 1, 3, -1)
-    sp = slice_points(s, 1, 8)
-    assert sp.q == 1
-    assert sp.offsets[1] == F(8 % 4, 4)
-    sp = slice_points(s, 2, 1)
-    assert sp.q == 2
-    assert sp.a == 1
+    q, _, offsets = line_offsets(s, 1, 8)
+    assert q == 1
+    assert offsets[1] == F(8 % 4, 4)
+    q, a, _ = line_offsets(s, 2, 1)
+    assert q == 2
+    assert a == 1
 
 
 def _random_saturated_plane(rng, n):
@@ -102,8 +120,8 @@ def test_unimodularity_and_coprimality_random():
                         B = rng.randint(-6, 6)
                         if math.gcd(A, B) != 1:
                             continue
-                        qf = s.q_form(A, B)
-                        af = s.a_form(A, B)
+                        qf = q_form(s, A, B)
+                        af = a_form(s, A, B)
                         if qf != 0:
                             assert math.gcd(qf, af) == 1
 
@@ -125,18 +143,18 @@ def test_intersection_points_match_direct_scan():
                         continue
                     s = slice_structure(u, v, i, j, eps)
                     delta = abs(w[i] - eps * w[j])
-                    if s.q_form(A, B) == 0:
+                    if q_form(s, A, B) == 0:
                         assert delta == 0
                         continue
-                    sp = slice_points(s, A, B)
-                    assert delta == sp.q * s.K
+                    q, _, _ = line_offsets(s, A, B)
+                    assert delta == q * s.K
                     direct = {
                         tuple((F(k, delta) * c) % 1 for c in w)
                         for k in range(delta)
                     }
                     produced = set()
                     for ell in range(s.K):
-                        for pt in component_points(s, sp, ell):
+                        for pt in component_points(s, A, B, ell):
                             assert pt[i] == (eps * pt[j]) % 1
                             produced.add(pt)
                     assert produced == direct

@@ -15,24 +15,44 @@ from goldens import (
     STRIP_TENTH_A,
     STRIP_TENTH_B,
 )
+from lonely_runner.pwl import gamma_table
 from lonely_runner.spectrum import (
+    SpectrumAnalysis,
     _absorb,
-    analyze,
     certify,
     class_setup,
-    flat_shortcut,
     halfline_analysis,
-    interior_rays,
     normalize_beta,
-    realize_progressions,
+    progression_index,
     relative_spectrum,
 )
 from lonely_runner.torus import oracle_sweep
+
+GOLDEN_PLANES = (
+    STRIP_QUARTER,
+    SECTOR_QUARTER,
+    STRIP_TENTH_A,
+    STRIP_TENTH_B,
+    SECTOR_TENTH_A,
+    SECTOR_TENTH_B,
+    SECTOR_THIRD,
+    FINITE_THREE_TENTHS,
+)
 
 
 def sector_rows(records):
     """Project sector records onto the fields that define the winning offsets."""
     return [(r.kappa, r.gamma, r.form, r.c0) for r in records]
+
+
+def interior_rays(records):
+    """Boundary rays between merged sectors, excluding the vertical half-plane edges."""
+    return [r.start_ray for r in records if r.start_ray[0] != 0]
+
+
+def miss_residues(records):
+    """Residues along a flat half-line that no direct hit settles."""
+    return tuple(r.residue for r in records if r.outcome in ("family", "base", "constant"))
 
 
 def test_class_setup_base_values():
@@ -58,34 +78,34 @@ def test_class_setup_rejects_improper_plane():
 
 
 def test_routes():
-    assert analyze(*STRIP_QUARTER).route == "lines"
-    assert analyze(*SECTOR_QUARTER).route == "sector"
-    assert analyze(*STRIP_TENTH_A).route == "lines"
-    assert analyze(*SECTOR_TENTH_B).route == "sector"
-    assert analyze(*SECTOR_THIRD).route == "sector"
-    assert analyze(*FINITE_THREE_TENTHS).route == "finite"
+    assert SpectrumAnalysis(*STRIP_QUARTER).route == "lines"
+    assert SpectrumAnalysis(*SECTOR_QUARTER).route == "sector"
+    assert SpectrumAnalysis(*STRIP_TENTH_A).route == "lines"
+    assert SpectrumAnalysis(*SECTOR_TENTH_B).route == "sector"
+    assert SpectrumAnalysis(*SECTOR_THIRD).route == "sector"
+    assert SpectrumAnalysis(*FINITE_THREE_TENTHS).route == "finite"
 
 
 def test_flat_shortcut_shapes():
-    lines = flat_shortcut(*STRIP_QUARTER)
-    assert [(h.base, h.direction, h.modulus, h.miss_residues) for h in lines] == [
+    lines = SpectrumAnalysis(*STRIP_QUARTER).flat_lines
+    assert [(base, dd, recs[0].modulus, miss_residues(recs)) for _, base, dd, recs in lines] == [
         ((1, 0), (0, 1), 4, (0,)),
         ((1, 0), (0, -1), 4, (0,)),
     ]
-    assert flat_shortcut(*SECTOR_QUARTER) is None
-    assert flat_shortcut(*FINITE_THREE_TENTHS) == []
+    assert SpectrumAnalysis(*SECTOR_QUARTER).flat_lines == []
+    assert SpectrumAnalysis(*FINITE_THREE_TENTHS).flat_lines == []
 
 
 def test_flat_shortcut_miss_residues():
     expect_a = {1: (0, 2, 3), 2: (1, 9), 3: (5, 10), 4: ()}
     expect_b = {1: (0, 1, 4), 2: (3, 7), 3: (5, 10), 4: ()}
     for (u, v), expect in [(STRIP_TENTH_A, expect_a), (STRIP_TENTH_B, expect_b)]:
-        lines = flat_shortcut(u, v)
+        lines = SpectrumAnalysis(u, v).flat_lines
         assert len(lines) == 8
-        for h in lines:
-            c = abs(h.base[0])
-            assert h.modulus == 5 * c
-            assert h.miss_residues == expect[c]
+        for c, base, _, recs in lines:
+            assert abs(base[0]) == c
+            assert recs[0].modulus == 5 * c
+            assert miss_residues(recs) == expect[c]
 
 
 def test_halfline_records_strip_quarter():
@@ -148,7 +168,7 @@ SECTOR_QUARTER_TABLE = {
 
 
 def test_sector_table_quarter():
-    ana = analyze(*SECTOR_QUARTER)
+    ana = SpectrumAnalysis(*SECTOR_QUARTER)
     assert set(ana.sector_records) == {
         (a, b) for a in range(4) for b in range(4) if math.gcd(a, b, 4) == 1
     }
@@ -162,7 +182,7 @@ def test_sector_table_quarter():
 
 
 def test_sector_groups_tenth_a():
-    ana = analyze(*SECTOR_TENTH_A)
+    ana = SpectrumAnalysis(*SECTOR_TENTH_A)
     group = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
     expect = [(1, Fr(2, 5), (4, 1), 1), (1, Fr(3, 5), (1, -1), 4)]
     for cls in group:
@@ -174,7 +194,7 @@ def test_sector_groups_tenth_a():
 
 
 def test_sector_groups_tenth_b():
-    ana = analyze(*SECTOR_TENTH_B)
+    ana = SpectrumAnalysis(*SECTOR_TENTH_B)
     recs = ana.sector_records[(0, 1)]
     assert interior_rays(recs) == [(1, -1)]
     assert sector_rows(recs) == [(1, Fr(2, 5), (3, 1), 1), (1, Fr(1, 5), (-1, -2), 3)]
@@ -215,17 +235,6 @@ def test_absorb():
     assert _absorb([(Fr(25, 4), Fr(35, 4)), (Fr(25, 2), Fr(15))]) == [(Fr(25, 4), Fr(35, 4))]
     both = [(Fr(25, 4), Fr(35, 4)), (Fr(25, 3), Fr(20, 3))]
     assert _absorb(list(both)) == both
-
-
-def test_realize_progressions():
-    s = class_setup(*SECTOR_QUARTER)
-    ana = analyze(*SECTOR_QUARTER)
-    rec = ana.sector_records[(1, 3)][0]
-    progs = realize_progressions(s, rec)
-    assert len(progs) == 1
-    assert (progs[0].alpha, progs[0].beta) == (8, 12)
-    kappa0 = ana.sector_records[(1, 1)][0]
-    assert realize_progressions(s, kappa0) == []
 
 
 def check_description(desc, families, unwitnessed, exceptional):
@@ -295,7 +304,7 @@ def test_certify_counts():
 
 def test_predict_matches_oracle_strip():
     u, v = STRIP_QUARTER
-    ana = analyze(u, v)
+    ana = SpectrumAnalysis(u, v)
     sweep = oracle_sweep(u, v, 80)
     checked = 0
     for (A, B), val in sweep.items():
@@ -308,7 +317,7 @@ def test_predict_matches_oracle_strip():
 
 def test_predict_matches_oracle_sector():
     u, v = SECTOR_TENTH_B
-    ana = analyze(u, v)
+    ana = SpectrumAnalysis(u, v)
     sweep = oracle_sweep(u, v, 60)
     checked = 0
     for (A, B), val in sweep.items():
@@ -321,7 +330,7 @@ def test_predict_matches_oracle_sector():
 
 def test_predict_covers_every_class():
     for u, v in [SECTOR_QUARTER, SECTOR_TENTH_A, SECTOR_TENTH_B]:
-        ana = analyze(u, v)
+        ana = SpectrumAnalysis(u, v)
         mp = ana.setup.m_prime
         sweep = oracle_sweep(u, v, 80)
         covered = set()
@@ -337,7 +346,7 @@ def test_predict_covers_every_class():
 def test_tilted_line_family_values():
     u, v = SECTOR_QUARTER
     sweep = oracle_sweep(u, v, 40)
-    ana = analyze(u, v)
+    ana = SpectrumAnalysis(u, v)
     for s in range(1, 10):
         val = Fr(1, 4) + Fr(1, 16 * s + 60)
         assert sweep[(4 * s + 3, 8)] == val
@@ -351,8 +360,30 @@ def test_description_invariant_under_signed_permutation():
     assert moved == base
 
 
-def test_description_invariant_under_mirror_tables():
-    for u, v in [SECTOR_QUARTER, SECTOR_THIRD]:
-        plain = relative_spectrum(u, v, certify_bound=60)
-        mirrored = relative_spectrum(u, v, certify_bound=60, tau_symmetry=True)
-        assert mirrored == plain
+def test_mirror_components_share_gamma_tables():
+    # f_{K-ell}(t) = f_ell(-t) and the coset offsets are negatives, so
+    # ClassSetup.table may key components ell and K - ell together
+    for u, v in GOLDEN_PLANES:
+        s = class_setup(u, v)
+        comps = {c.key: c for c in s.comps}
+        for c in s.critical:
+            if c.ell >= (c.K - c.ell) % c.K:
+                continue  # self-mirrored, or checked from the other side
+            twin = comps[(c.i, c.j, c.eps, c.K - c.ell)]
+            assert twin in s.critical
+            for a in range(c.K):
+                mine = gamma_table(c.f, Fr(a * c.ell, c.K) % 1)
+                theirs = gamma_table(twin.f, Fr(a * twin.ell, c.K) % 1)
+                assert mine == theirs, (u, v, c.key, a)
+    s = class_setup(*SECTOR_THIRD)
+    assert s.m_prime == 6
+    assert len(s._tables) == 27
+
+
+def test_progression_index():
+    d = Fr(1, 4)
+    assert progression_index(d, Fr(16), Fr(20), d + Fr(1, 20)) == 0
+    assert progression_index(d, Fr(16), Fr(20), d + Fr(1, 52)) == 2
+    assert progression_index(d, Fr(16), Fr(20), d + Fr(1, 4)) is None
+    assert progression_index(d, Fr(16), Fr(20), d + Fr(1, 30)) is None
+    assert progression_index(d, Fr(16), Fr(20), d) is None

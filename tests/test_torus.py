@@ -8,7 +8,6 @@ import pytest
 
 from lonely_runner.torus import (
     canonicalize_symmetry,
-    d_coset_line,
     d_line_oracle,
     d_plane,
     d_point,
@@ -86,19 +85,6 @@ def test_two_speed_parity_formula():
                 assert d == 0
             else:
                 assert d == F(1, 2 * (a + b))
-
-
-def test_d_coset_line_literals():
-    m, am = d_coset_line((0, 0, 0, 0), (1, 1, 2, 3))
-    assert m == F(1, 4)
-    assert am == [("point", F(1, 4)), ("point", F(3, 4))]
-    m, am = d_coset_line((0, F(1, 4), F(2, 4), F(3, 4)), (1, 0, 0, 0))
-    assert m == F(1, 4)
-    assert am == [("interval", F(1, 4), F(3, 4))]
-    # a zero-direction coordinate at base 0 pins the envelope at 1/2
-    m, am = d_coset_line((0, 0), (1, 0))
-    assert m == F(1, 2)
-    assert am == [("interval", F(0), F(1))]
 
 
 def test_d_plane_goldens():
