@@ -1,6 +1,6 @@
 """Exact covering-radius computations for subtori of the n-torus and their order-1 relative spectra."""
 
-from .catalog import d_two_speeds, enumerate_2d_subtori, tight_pairs
+from .catalog import enumerate_2d_subtori, tight_pairs
 from .exact import complete_to_basis, gcd_ext, primitive_kernel, saturate_plane
 from .locus import FinitenessReport, LocusElement, finiteness, zero_locus
 from .spectrum import (
@@ -17,6 +17,7 @@ from .torus import (
     d_line_oracle,
     d_plane,
     d_point,
+    d_two_speeds,
     oracle_sweep,
     plane_proper,
 )

@@ -42,17 +42,6 @@ def tight_pairs(threshold) -> list[tuple[int, int]]:
     return pairs
 
 
-def d_two_speeds(a: int, b: int) -> Fraction:
-    """Exact distance of the line with two integer speeds in the 2-torus."""
-    if a <= 0 or b <= 0:
-        raise ValueError("speeds must be positive")
-    g = math.gcd(a, b)
-    a, b = a // g, b // g
-    if a % 2 == 1 and b % 2 == 1:
-        return Fraction(0)
-    return Fraction(1, 2 * (a + b))
-
-
 def _signed_assignments(pair):
     """Both orderings of a pair with independent signs."""
     x, y = pair

@@ -80,9 +80,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_bound(bound: int | None) -> int | None:
-    """Reject a negative certification box bound."""
-    if bound is not None and bound < 0:
-        raise ParseError(f"bad bound {bound}: must be non-negative")
+    """Reject a certification box bound below 1: the box would hold no pair."""
+    if bound is not None and bound < 1:
+        raise ParseError(f"bad bound {bound}: must be at least 1")
     return bound
 
 
@@ -127,12 +127,11 @@ def load_description(path: str) -> SpectrumDescription:
         exc = tuple(
             (Fraction(e["value"]), tuple(e["pair"])) for e in raw["exceptional_values"]
         )
+        bound = int(raw["certified_bound"])
+        if bound < 1:
+            raise ValueError(f"certified_bound {bound} is below 1")
         return SpectrumDescription(
-            Fraction(raw["d_value"]),
-            progs,
-            bool(raw["base_value_attained"]),
-            exc,
-            int(raw["certified_bound"]),
+            Fraction(raw["d_value"]), progs, bool(raw["base_value_attained"]), exc, bound
         )
     except (OSError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"cannot load spectrum description from {path}: {e}")

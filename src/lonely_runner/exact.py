@@ -1,9 +1,8 @@
-"""Exact integer-lattice primitives: extended gcd, kernels, saturation, basis completion."""
+"""Exact integer-lattice primitives: extended gcd, orientation, kernels, saturation, plane coordinates, basis completion."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 Vec = tuple[int, ...]
 
@@ -25,15 +24,19 @@ def gcd_ext(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def orient(a: int, b: int) -> tuple[int, int]:
+    """Return whichever of (a, b) and (-a, -b) has its first nonzero entry positive."""
+    if a < 0 or (a == 0 and b < 0):
+        return -a, -b
+    return a, b
+
+
 def primitive_kernel(alpha: int, beta: int) -> tuple[int, int]:
     """Return the primitive integer solution (A0, B0) of alpha*A0 + beta*B0 = 0, first nonzero entry positive."""
     if alpha == 0 and beta == 0:
         raise ValueError("degenerate constraint")
     g = math.gcd(alpha, beta)
-    a0, b0 = beta // g, -alpha // g
-    if a0 < 0 or (a0 == 0 and b0 < 0):
-        a0, b0 = -a0, -b0
-    return a0, b0
+    return orient(beta // g, -alpha // g)
 
 
 def vec_content(u: Vec) -> int:
@@ -71,35 +74,37 @@ def saturate_plane(u: Vec, v: Vec) -> tuple[Vec, Vec]:
     raise RuntimeError("saturation shift search failed")
 
 
-def complete_to_basis(w: Vec, basis: tuple[Vec, Vec]) -> Vec:
-    """Extend the primitive lattice vector w to a basis (w, v2) of the saturated plane spanned by basis."""
-    u, v = basis
-    if len(w) != len(u):
-        raise ValueError("not primitive")
-    pair = None
+def plane_coords(w: Vec, u: Vec, v: Vec) -> tuple[int, int]:
+    """Integer coordinates (a, b) with w = a*u + b*v; raises ValueError if there are none."""
     n = len(u)
+    if len(w) != n:
+        raise ValueError("vector length differs from the plane's")
     for i in range(n):
         for j in range(i + 1, n):
             det = u[i] * v[j] - u[j] * v[i]
             if det != 0:
-                pair = (i, j, det)
-                break
-        if pair:
-            break
-    if pair is None:
-        raise ValueError("not primitive")
-    i, j, det = pair
-    a = Fraction(w[i] * v[j] - w[j] * v[i], det)
-    b = Fraction(u[i] * w[j] - u[j] * w[i], det)
-    if a.denominator != 1 or b.denominator != 1:
-        raise ValueError("not primitive")
-    a, b = int(a), int(b)
-    if any(w[k] != a * u[k] + b * v[k] for k in range(n)):
-        raise ValueError("not primitive")
+                na = w[i] * v[j] - w[j] * v[i]
+                nb = u[i] * w[j] - u[j] * w[i]
+                if na % det or nb % det:
+                    raise ValueError("coordinates are not integral")
+                a, b = na // det, nb // det
+                if any(w[k] != a * u[k] + b * v[k] for k in range(n)):
+                    raise ValueError("vector outside the plane")
+                return a, b
+    raise ValueError("not a plane")
+
+
+def complete_to_basis(w: Vec, basis: tuple[Vec, Vec]) -> Vec:
+    """Extend the primitive lattice vector w to a basis (w, v2) of the saturated plane spanned by basis."""
+    u, v = basis
+    try:
+        a, b = plane_coords(w, u, v)
+    except ValueError:
+        raise ValueError("not primitive") from None
     g, x, y = gcd_ext(a, b)
     if g != 1:
         raise ValueError("not primitive")
-    v2 = tuple(-y * u[k] + x * v[k] for k in range(n))
+    v2 = tuple(-y * u[k] + x * v[k] for k in range(len(u)))
     for c in v2:
         if c != 0:
             if c < 0:

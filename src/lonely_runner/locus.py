@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Vec, gcd_ext, minors2, saturate_plane, vec_content
+from .exact import Vec, gcd_ext, minors2, orient, saturate_plane, vec_content
 from .pwl import dist_to_half
 from .torus import d_plane
 
@@ -29,16 +29,6 @@ class FinitenessReport:
     witness_segments: tuple
     common_direction: tuple[int, int] | None
     note: str
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x - math.floor(x)
-
-
-def _canon_dir(a: int, b: int) -> tuple[int, int]:
-    if a < 0 or (a == 0 and b < 0):
-        return -a, -b
-    return a, b
 
 
 def _band_arcs(c0: Fraction, s: int, d: Fraction) -> list | None:
@@ -100,7 +90,7 @@ def _segment_contains(seg: LocusElement, pt: tuple) -> bool:
     if (wb * da - wa * db) % 1 != 0:
         return False
     _, x, y = gcd_ext(wa, wb)
-    t = _mod1(x * da + y * db)
+    t = (x * da + y * db) % 1
     if wa != 0:
         length = (seg.end[0] - seg.start[0]) / wa
     else:
@@ -120,18 +110,18 @@ def zero_locus(u: Vec, v: Vec) -> list[LocusElement]:
     circles = {}
     for uk, vk in zip(u, v):
         g, p, q = gcd_ext(uk, vk)
-        w = _canon_dir(-(vk // g), uk // g)
+        w = orient(-(vk // g), uk // g)
         for eps in (1, -1):
             for j in range(g):
                 lift = (Fraction(1, 2) + eps * d + j) / g
                 base = (lift * p, lift * q)
-                offset = _mod1(w[1] * base[0] - w[0] * base[1])
+                offset = (w[1] * base[0] - w[0] * base[1]) % 1
                 circles.setdefault((w, offset), (base, w))
     segments = []
     points = set()
     for base, w in circles.values():
         for lo, hi in _circle_arcs(u, v, d, base, w):
-            start = (_mod1(base[0] + lo * w[0]), _mod1(base[1] + lo * w[1]))
+            start = ((base[0] + lo * w[0]) % 1, (base[1] + lo * w[1]) % 1)
             if lo == hi:
                 points.add(start)
             else:

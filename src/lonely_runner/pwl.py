@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 HALF = Fraction(1, 2)
+CHECK_PERIODS = 4  # a gamma table is compared with direct coset minima over this many periods past q0
 
 
 def dist_to_half(y: Fraction | int) -> Fraction:
@@ -111,33 +112,6 @@ class CirclePWL:
             out.append((t, lam_minus, lam_plus, rho))
         return out
 
-    def delta0(self) -> Fraction | None:
-        """Value gap above the minimum outside the argmin linear neighborhoods; None if empty."""
-        m = self.minimum
-        iso = self.isolated_argmins()
-        n = len(self.breakpoints)
-        hoods = []
-        for idx, (t, _, _, _) in enumerate(iso):
-            i = self.breakpoints.index(t)
-            t_prev = self.breakpoints[i - 1] - (1 if i == 0 else 0)
-            j = (i + 1) % n
-            t_next = self.breakpoints[j] + (1 if j == 0 else 0)
-            hoods.append((t_prev % 1, (t_next - t_prev) % 1 or Fraction(1)))
-        best = None
-        for k in range(n):
-            tk = self.breakpoints[k]
-            inside = False
-            for start, width in hoods:
-                off = (tk - start) % 1
-                if 0 < off < width:
-                    inside = True
-                    break
-            if not inside:
-                vk = self.values[k]
-                if best is None or vk < best:
-                    best = vk
-        return None if best is None else best - m
-
 
 def make_pwl(points: list[tuple[Fraction, Fraction]]) -> CirclePWL:
     """Build a CirclePWL from (t, value) samples, deduplicating and removing collinear points."""
@@ -150,23 +124,21 @@ def make_pwl(points: list[tuple[Fraction, Fraction]]) -> CirclePWL:
     pts = sorted(seen.items())
     if len({v for _, v in pts}) == 1:
         return CirclePWL((Fraction(0),), (pts[0][1],))
-    changed = True
-    while changed and len(pts) > 2:
-        changed = False
-        n = len(pts)
-        for i in range(n):
-            t0, v0 = pts[i - 1]
-            t1, v1 = pts[i]
-            t2, v2 = pts[(i + 1) % n]
-            if i == 0:
-                t0 -= 1
-            if (i + 1) % n == 0:
-                t2 += 1
-            if (v1 - v0) * (t2 - t1) == (v2 - v1) * (t1 - t0):
-                del pts[i]
-                changed = True
-                break
-    return CirclePWL(tuple(t for t, _ in pts), tuple(v for _, v in pts))
+    # a point stays iff the slope changes there; dropping a collinear point
+    # leaves its neighbours' slopes unchanged, so one pass finds them all
+    n = len(pts)
+    kept = []
+    for i in range(n):
+        t0, v0 = pts[i - 1]
+        t1, v1 = pts[i]
+        t2, v2 = pts[(i + 1) % n]
+        if i == 0:
+            t0 -= 1
+        if i == n - 1:
+            t2 += 1
+        if (v1 - v0) * (t2 - t1) != (v2 - v1) * (t1 - t0):
+            kept.append((t1, v1))
+    return CirclePWL(tuple(t for t, _ in kept), tuple(v for _, v in kept))
 
 
 def build_restriction(
@@ -216,19 +188,9 @@ def build_restriction(
     return make_pwl(samples)
 
 
-@dataclass(frozen=True)
-class ApproxResult:
-    """Nearest coset distances below/above a target, with their residue numerators."""
-
-    approx_minus: Fraction
-    approx_plus: Fraction
-    r_minus: int
-    r_plus: int
-    modulus: int
-
-
-def approx(tau: Fraction, b: Fraction, q: int) -> ApproxResult:
-    """Distances from tau to the nearest points of (b + Z)/q on both sides, via residues."""
+def approx(tau: Fraction, b: Fraction, q: int) -> tuple[int, int, int]:
+    """Residues (r_minus, r_plus, modulus): the nearest points of (b + Z)/q lie
+    r_minus/(modulus*q) below tau and r_plus/(modulus*q) above it."""
     if q < 1:
         raise ValueError("q must be positive")
     tau = Fraction(tau) % 1
@@ -239,9 +201,7 @@ def approx(tau: Fraction, b: Fraction, q: int) -> ApproxResult:
     mod = x * z // g
     rm = ((w * z * q - x * y) // g) % mod
     rp = (-((w * z * q - x * y) // g)) % mod
-    return ApproxResult(
-        Fraction(rm, mod * q), Fraction(rp, mod * q), rm, rp, mod
-    )
+    return rm, rp, mod
 
 
 def coset_min_direct(f: CirclePWL, b: Fraction, q: int) -> Fraction:
@@ -261,7 +221,7 @@ class GammaTable:
     q0: int
 
 
-def gamma_table(f: CirclePWL, b: Fraction, check_window: int = 4) -> GammaTable:
+def gamma_table(f: CirclePWL, b: Fraction) -> GammaTable:
     """Build the coset-minimum table of f against the family (b + Z)/q, certified on a window."""
     m = f.minimum
     b = Fraction(b) % 1
@@ -277,20 +237,19 @@ def gamma_table(f: CirclePWL, b: Fraction, check_window: int = 4) -> GammaTable:
             q_rep = res_q if res_q >= 1 else mod
             best = None
             for t, lam_minus, lam_plus, _ in iso:
-                a = approx(t, b, q_rep)
-                cand = min(lam_minus * a.r_minus, lam_plus * a.r_plus)
-                cand = Fraction(cand, a.modulus)
+                rm, rp, res_mod = approx(t, b, q_rep)
+                cand = Fraction(min(lam_minus * rm, lam_plus * rp), res_mod)
                 if best is None or cand < best:
                     best = cand
             gammas.append(best)
         rho_min = min(rho for _, _, _, rho in iso)
         lam_max = max(max(lm, lp) for _, lm, lp, _ in iso)
-        q0 = math.ceil(1 / rho_min)
-        d0 = f.delta0()
-        if d0 is not None:
-            q0 = max(q0, math.floor(lam_max / d0) + 1)
+        # every minimum is isolated here, so the breakpoints above m are exactly
+        # those outside the argmin neighbourhoods
+        d0 = min(v for v in f.values if v > m) - m
+        q0 = max(math.ceil(1 / rho_min), math.floor(lam_max / d0) + 1)
         table = GammaTable(mod, tuple(gammas), q0)
-    for q in range(table.q0, table.q0 + check_window * table.modulus + 1):
+    for q in range(table.q0, table.q0 + CHECK_PERIODS * table.modulus + 1):
         direct = coset_min_direct(f, b, q)
         formula = m + table.gamma[q % table.modulus] / q
         if direct != formula:

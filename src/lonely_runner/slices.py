@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Vec, complete_to_basis, primitive_kernel, saturate_plane
+from .exact import Vec, complete_to_basis, plane_coords, primitive_kernel, saturate_plane
 from .pwl import CirclePWL, build_restriction
 
 
@@ -21,24 +21,6 @@ class SliceStructure:
     K: int
     z: tuple[int, int, int, int]
     restrictions: tuple[CirclePWL, ...]
-
-
-def _solve_coords(w: Vec, u: Vec, v: Vec) -> tuple[int, int]:
-    """Integer coordinates (a, b) with w = a*u + b*v; raises if not integral."""
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = u[i] * v[j] - u[j] * v[i]
-            if det != 0:
-                na = w[i] * v[j] - w[j] * v[i]
-                nb = u[i] * w[j] - u[j] * w[i]
-                if na % det or nb % det:
-                    raise ValueError("coordinates are not integral")
-                a, b = na // det, nb // det
-                if any(w[k] != a * u[k] + b * v[k] for k in range(n)):
-                    raise ValueError("vector outside the plane")
-                return a, b
-    raise ValueError("not a plane")
 
 
 def slice_structure(u: Vec, v: Vec, i: int, j: int, eps: int) -> SliceStructure:
@@ -57,8 +39,8 @@ def slice_structure(u: Vec, v: Vec, i: int, j: int, eps: int) -> SliceStructure:
     v_prime = complete_to_basis(u_prime, (u, v))
     K = abs(v_prime[i] - eps * v_prime[j])
     assert K >= 1
-    z1, z2 = _solve_coords(u, u_prime, v_prime)
-    z3, z4 = _solve_coords(v, u_prime, v_prime)
+    z1, z2 = plane_coords(u, u_prime, v_prime)
+    z3, z4 = plane_coords(v, u_prime, v_prime)
     if abs(z1 * z4 - z2 * z3) != 1:
         raise RuntimeError("adapted basis change is not unimodular")
     restrictions = tuple(

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import Vec, gcd_ext, primitive_kernel, saturate_plane
+from .exact import Vec, gcd_ext, orient, primitive_kernel, saturate_plane
 from .pwl import CirclePWL, coset_min_direct, gamma_table
 from .slices import slice_structure
 from .torus import oracle_sweep, plane_proper, project_redundant
@@ -17,13 +17,6 @@ WITNESS_RANGE = 11  # progression indices 0..10 are checked for witnesses
 
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
-
-
-def _norm_form(e: int, f: int) -> tuple[int, int]:
-    """Sign-normalize a linear form so its first nonzero coefficient is positive."""
-    if e < 0 or (e == 0 and f < 0):
-        return -e, -f
-    return e, f
 
 
 @dataclass(frozen=True)
@@ -434,7 +427,7 @@ class SpectrumAnalysis:
         self.flat_form: tuple[int, int] | None = None
         self.q_star: int | None = None
         if s.flats:
-            forms = {_norm_form(c.E, c.F) for c in s.flats}
+            forms = {orient(c.E, c.F) for c in s.flats}
             if len(forms) > 1:
                 # two independent flat directions pin the exceptional region in a box
                 self.route = "finite"

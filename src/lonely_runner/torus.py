@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations, product
+from types import MappingProxyType
 
 from . import _kernels
 from .exact import Vec, gcd_ext, saturate_plane
@@ -18,13 +20,27 @@ def d_point(x: tuple[Fraction | int, ...]) -> Fraction:
     return max(dist_to_half(c) for c in x)
 
 
+def d_two_speeds(a: int, b: int) -> Fraction:
+    """Exact distance of the line with two integer speeds in the 2-torus."""
+    if a <= 0 or b <= 0:
+        raise ValueError("speeds must be positive")
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if a % 2 == 1 and b % 2 == 1:
+        return Fraction(0)
+    return Fraction(1, 2 * (a + b))
+
+
 def d_line_oracle(w: Vec) -> Fraction:
-    """Exact distance of the line through w to the half-center, by bounded enumeration."""
+    """Exact distance of the line through w to the half-center: closed form for two
+    distinct speeds, bounded enumeration otherwise."""
     if not w or any(c == 0 for c in w):
         raise ValueError("improper subtorus")
     speeds = _kernels.dedup_speeds(w)
     if len(speeds) == 1:
         return Fraction(0)
+    if len(speeds) == 2:
+        return d_two_speeds(*speeds)
     num, den = _kernels.d_line_raw(speeds)
     return Fraction(num, den)
 
@@ -110,11 +126,12 @@ _SWEEP_CACHE: dict = {}
 
 def oracle_sweep(
     u: Vec, v: Vec, bound: int
-) -> dict[tuple[int, int], Fraction | None]:
+) -> MappingProxyType[tuple[int, int], Fraction | None]:
     """Map (A, B) over the coprime parameter box to D of the line through A*u + B*v.
 
     A in [0, bound], |B| <= bound, gcd(A, B) = 1, excluding (0, 0) and (0, -1);
-    None marks an improper line. Results are cached per (u, v, bound, backend).
+    None marks an improper line. Results are cached per (u, v, bound, backend)
+    and returned as a read-only view of the cache entry.
     """
     key = (u, v, bound, _kernels.backend())
     if key in _SWEEP_CACHE:
@@ -123,5 +140,5 @@ def oracle_sweep(
     out: dict[tuple[int, int], Fraction | None] = {}
     for A, B, num, den in rows:
         out[(A, B)] = None if den == 0 else Fraction(num, den)
-    _SWEEP_CACHE[key] = out
-    return out
+    _SWEEP_CACHE[key] = MappingProxyType(out)
+    return _SWEEP_CACHE[key]

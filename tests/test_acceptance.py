@@ -18,10 +18,10 @@ from goldens import (
     TENTH_PLANES,
 )
 from lonely_runner.catalog import enumerate_2d_subtori
-from lonely_runner.exact import saturate_plane
+from lonely_runner.exact import plane_coords, saturate_plane
 from lonely_runner.locus import LocusElement, finiteness, zero_locus
 from lonely_runner.pwl import approx, coset_min_direct, gamma_table, make_pwl
-from lonely_runner.slices import _solve_coords, slice_structure
+from lonely_runner.slices import slice_structure
 from lonely_runner.spectrum import (
     SpectrumAnalysis,
     certify,
@@ -131,7 +131,7 @@ def flat_row_types(plane):
             for t in (rec.residue + mt * rec.s0, rec.residue + mt * (rec.s0 + 1)):
                 pair = (base[0] + t * dd[0], base[1] + t * dd[1])
                 w = tuple(pair[0] * a + pair[1] * b for a, b in zip(s.u, s.v))
-                ap, bp = _solve_coords(w, *plane)
+                ap, bp = plane_coords(w, *plane)
                 if ap < 0 or (ap == 0 and bp < 0):
                     ap, bp = -ap, -bp
                 if ap <= 0:
@@ -259,7 +259,7 @@ def criterion_4():
     sweep = oracle_sweep(ana.setup.u, ana.setup.v, 150)
     for pair, val in (((5, 1), third + Fr(1, 66)), ((6, 5), third + Fr(1, 102))):
         w = tuple(pair[0] * a + pair[1] * b for a, b in zip(*SECTOR_THIRD))
-        ap, bp = _solve_coords(w, ana.setup.u, ana.setup.v)
+        ap, bp = plane_coords(w, ana.setup.u, ana.setup.v)
         if ap < 0 or (ap == 0 and bp < 0):
             ap, bp = -ap, -bp
         if sweep.get((ap, bp)) != val:
@@ -318,12 +318,12 @@ def _suite_approx(rng, trials):
         pts = [Fr(b + r, q) for r in range(q)]
         down = min((tau - p) % 1 for p in pts)
         up = min((p - tau) % 1 for p in pts)
-        a = approx(tau, b, q)
-        if (a.approx_minus, a.approx_plus) != (down, up):
+        rm, rp, modulus = approx(tau, b, q)
+        if (Fr(rm, modulus * q), Fr(rp, modulus * q)) != (down, up):
             return f"approx distances differ at tau={tau} b={b} q={q}"
-        if (q * tau - Fr(a.r_minus, a.modulus) - b) % 1 != 0:
+        if (q * tau - Fr(rm, modulus) - b) % 1 != 0:
             return f"lower residue wrong at tau={tau} b={b} q={q}"
-        if (q * tau + Fr(a.r_plus, a.modulus) - b) % 1 != 0:
+        if (q * tau + Fr(rp, modulus) - b) % 1 != 0:
             return f"upper residue wrong at tau={tau} b={b} q={q}"
     return None
 

@@ -14,8 +14,8 @@ from goldens import (
     STRIP_TENTH_B,
     TENTH_PLANES,
 )
-from lonely_runner.catalog import d_two_speeds, enumerate_2d_subtori, tight_pairs
-from lonely_runner.torus import canonicalize_symmetry, d_plane, plane_proper
+from lonely_runner.catalog import enumerate_2d_subtori, tight_pairs
+from lonely_runner.torus import canonicalize_symmetry, d_plane, d_two_speeds, plane_proper
 
 
 def test_tight_pairs():

@@ -41,6 +41,9 @@ def test_parse_round_trip():
 def test_d_vector(capsys):
     code, out, _ = run(capsys, "d", "--vector", "1,2,3,4")
     assert (code, out) == (0, "3/10\n")
+    # two distinct speeds take the closed form, however large
+    code, out, _ = run(capsys, "d", "--vector", "1000000000,1000000001")
+    assert (code, out) == (0, "1/4000000002\n")
 
 
 def test_d_basis(capsys):
@@ -66,12 +69,23 @@ def test_degenerate_basis_json_error(capsys):
     assert json.loads(out) == {"error": "not a plane"}
 
 
-def test_parse_errors_exit_2(capsys):
+def test_parse_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "d", "--vector", "1,x,3")[0] == 2
     assert run(capsys, "d", "--basis", "1,2,3;4,5")[0] == 2
     assert run(capsys, "enumerate", "--n", "3", "--d", "1/0")[0] == 2
-    assert run(capsys, "spectrum", "--basis", U2_BASIS, "--bound", "-5")[0] == 2
-    assert run(capsys, "certify", "--basis", U2_BASIS, "--bound", "-5")[0] == 2
+    for bound in ("-5", "0"):
+        assert run(capsys, "spectrum", "--basis", U2_BASIS, "--bound", bound)[0] == 2
+        assert run(capsys, "certify", "--basis", U2_BASIS, "--bound", bound)[0] == 2
+    empty_box = {
+        "d_value": "1/4",
+        "progressions": [],
+        "base_value_attained": True,
+        "exceptional_values": [],
+        "certified_bound": 0,
+    }
+    path = tmp_path / "empty_box.json"
+    path.write_text(json.dumps(empty_box))
+    assert run(capsys, "certify", "--basis", U2_BASIS, "--against", str(path))[0] == 2
 
 
 def test_argparse_rejects_unknown_choice():

@@ -45,6 +45,40 @@ def test_make_pwl_constant_normalizes():
     assert argmin_pieces(f) == [("interval", F(0), F(1))]
 
 
+def test_make_pwl_drops_collinear_points_random():
+    # insert extra samples on the pieces of random circle PWLs: the result is
+    # the same function, with a breakpoint exactly where the slope changes
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        ts = sorted({F(rng.randint(0, 47), 48) for _ in range(n)})
+        vals = [F(rng.randint(0, 6), 12) for _ in ts]
+        f = CirclePWL(tuple(ts), tuple(vals))
+        samples = list(zip(ts, vals))
+        for _ in range(rng.randint(0, 8)):
+            t = F(rng.randint(0, 479), 480)
+            samples.append((t, f.evaluate(t)))
+        rng.shuffle(samples)
+        g = make_pwl(samples)
+        for k in range(96):
+            assert g.evaluate(F(k, 96)) == f.evaluate(F(k, 96))
+        for t, _ in samples:
+            assert g.evaluate(t) == f.evaluate(t)
+        if len(set(vals)) == 1:
+            assert (g.breakpoints, g.values) == ((F(0),), (vals[0],))
+            continue
+        bps = g.breakpoints
+        m = len(bps)
+        assert m >= 2
+        for i in range(m):
+            t0 = bps[i - 1] - (1 if i == 0 else 0)
+            t2 = bps[(i + 1) % m] + (1 if i == m - 1 else 0)
+            left = (g.values[i] - g.values[i - 1]) / (bps[i] - t0)
+            right = (g.values[(i + 1) % m] - g.values[i]) / (t2 - bps[i])
+            assert left != right
+            assert bps[i] in {t for t, _ in samples}
+
+
 def test_evaluate_wraparound():
     f = CirclePWL((F(1, 4), F(3, 4)), (F(0), F(1, 2)))
     assert f.evaluate(F(1, 4)) == 0
@@ -110,20 +144,20 @@ def test_reflect_matches_negated_direction():
         assert build_restriction(base, neg) == reflected
 
 
+def approx_distances(tau, b, q):
+    rm, rp, modulus = approx(tau, b, q)
+    return F(rm, modulus * q), F(rp, modulus * q)
+
+
 def test_approx_literals():
-    a = approx(F(1, 6), F(1, 3), 4)
-    assert (a.approx_minus, a.approx_plus) == (F(1, 12), F(1, 6))
-    a = approx(F(1, 2), F(0), 3)
-    assert (a.approx_minus, a.approx_plus) == (F(1, 6), F(1, 6))
+    assert approx_distances(F(1, 6), F(1, 3), 4) == (F(1, 12), F(1, 6))
+    assert approx_distances(F(1, 2), F(0), 3) == (F(1, 6), F(1, 6))
 
 
 def test_approx_equal_target_needs_integrality():
     # tau = b gives (0, 0) exactly when (q-1)*tau is an integer
-    a = approx(F(1, 3), F(1, 3), 4)
-    assert (a.approx_minus, a.approx_plus) == (0, 0)
-    assert (a.r_minus, a.r_plus) == (0, 0)
-    a = approx(F(1, 3), F(1, 3), 2)
-    assert (a.approx_minus, a.approx_plus) == (F(1, 6), F(1, 3))
+    assert approx_distances(F(1, 3), F(1, 3), 4) == (0, 0)
+    assert approx_distances(F(1, 3), F(1, 3), 2) == (F(1, 6), F(1, 3))
 
 
 def test_approx_matches_direct_search_random():
@@ -132,11 +166,12 @@ def test_approx_matches_direct_search_random():
         tau = F(rng.randint(0, 30), rng.randint(1, 12))
         b = F(rng.randint(0, 30), rng.randint(1, 12))
         q = rng.randint(1, 15)
-        a = approx(tau, b, q)
-        assert a.approx_minus == ((q * tau - b) % 1) / q
-        assert a.approx_plus == ((b - q * tau) % 1) / q
-        assert a.approx_minus + a.approx_plus in (0, F(1, q))
-        assert (a.r_minus + a.r_plus) in (0, a.modulus)
+        down, up = approx_distances(tau, b, q)
+        assert down == ((q * tau - b) % 1) / q
+        assert up == ((b - q * tau) % 1) / q
+        assert down + up in (0, F(1, q))
+        rm, rp, modulus = approx(tau, b, q)
+        assert (rm + rp) in (0, modulus)
 
 
 def test_coset_min_direct_constant():

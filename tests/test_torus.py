@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from lonely_runner import _kernels
 from lonely_runner.torus import (
     canonicalize_symmetry,
     d_line_oracle,
     d_plane,
     d_point,
+    d_two_speeds,
     oracle_sweep,
     plane_proper,
 )
@@ -87,6 +89,14 @@ def test_two_speed_parity_formula():
                 assert d == F(1, 2 * (a + b))
 
 
+def test_d_two_speeds_matches_python_kernel(monkeypatch):
+    monkeypatch.setenv("LONELY_RUNNER_KERNEL", "python")
+    for a in range(1, 41):
+        for b in range(1, 41):
+            if a != b:
+                assert d_two_speeds(a, b) == Fraction(*_kernels.d_line_raw([a, b]))
+
+
 def test_d_plane_goldens():
     assert d_plane(*PLANE_0123) == F(1, 4)
     assert d_plane(*PLANE_014) == F(1, 10)
@@ -149,3 +159,12 @@ def test_oracle_sweep_matches_single_lines():
     assert (0, 0) not in sweep
     assert (0, -1) not in sweep
     assert (0, 1) in sweep
+
+
+def test_oracle_sweep_is_read_only():
+    u, v = (1, 0, 1, 1), (1, 1, 0, 2)
+    sweep = oracle_sweep(u, v, 10)
+    before = dict(sweep)
+    with pytest.raises(TypeError):
+        sweep[(1, 0)] = F(9, 20)
+    assert dict(oracle_sweep(u, v, 10)) == before
