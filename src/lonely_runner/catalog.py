@@ -1,7 +1,6 @@
 """Enumeration of 2-dimensional planes attaining a prescribed exact distance."""
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -16,17 +15,9 @@ class UnsupportedRequest(ValueError):
     """The catalog has no tight-instance data for the requested dimension and distance."""
 
 
-@dataclass(frozen=True)
-class SymmetrizedBasis:
+def _tied(p: int, rest_u: Vec, q: int, rest_v: Vec) -> tuple[Vec, Vec]:
     """Basis with tied leading pair: (p, p, *rest_u) and (q, -q, *rest_v)."""
-
-    p: int
-    rest_u: Vec
-    q: int
-    rest_v: Vec
-
-    def generators(self) -> tuple[Vec, Vec]:
-        return (self.p, self.p, *self.rest_u), (self.q, -self.q, *self.rest_v)
+    return (p, p, *rest_u), (q, -q, *rest_v)
 
 
 def tight_pairs(threshold) -> list[tuple[int, int]]:
@@ -69,7 +60,7 @@ def _reduced_ratio(p: int, q: int) -> tuple[int, int]:
     return (p, q) if p > 0 else (-p, -q)
 
 
-def _candidates_dim3(pairs) -> list[SymmetrizedBasis]:
+def _candidates_dim3(pairs) -> list[tuple[Vec, Vec]]:
     cands = []
     for pa in pairs:
         for a, b in _signed_assignments(pa):
@@ -77,15 +68,15 @@ def _candidates_dim3(pairs) -> list[SymmetrizedBasis]:
                 continue
             for pc in pairs:
                 for c, d in _signed_assignments(pc):
-                    cands.append(SymmetrizedBasis(a, (b,), c, (d,)))
+                    cands.append(_tied(a, (b,), c, (d,)))
     # one vanishing entry: the free coordinate of the tied generator is zero
     for pc in pairs:
         for c, d in _signed_assignments(pc):
-            cands.append(SymmetrizedBasis(1, (0,), c, (d,)))
+            cands.append(_tied(1, (0,), c, (d,)))
     return cands
 
 
-def _candidates_dim4() -> list[SymmetrizedBasis]:
+def _candidates_dim4() -> list[tuple[Vec, Vec]]:
     triples = _signed_triples()
     cands = []
     for a, b, c in triples:
@@ -94,20 +85,20 @@ def _candidates_dim4() -> list[SymmetrizedBasis]:
         for d, e, f in triples:
             if d < 0:
                 continue
-            cands.append(SymmetrizedBasis(a, (b, c), d, (e, f)))
+            cands.append(_tied(a, (b, c), d, (e, f)))
     # one zero entry: rebasing mixes the pair (a, c) with (d, e, f); a new
     # zero entry forces one of four ratios for a : c
     for d, e, f in triples:
         for num, den in ((d, e - f), (d, f - e), (d, e + f), (d, -e - f)):
             a, c = _reduced_ratio(num, den)
-            cands.append(SymmetrizedBasis(a, (0, c), d, (e, f)))
+            cands.append(_tied(a, (0, c), d, (e, f)))
     # two zero entries in one generator
     for d, e, f in triples:
         if d > 0:
-            cands.append(SymmetrizedBasis(1, (0, 0), d, (e, f)))
+            cands.append(_tied(1, (0, 0), d, (e, f)))
     # two zero entries split across the generators with matching ratios
     for c in (1, -1, 2, -2):
-        cands.append(SymmetrizedBasis(1, (0, c), 1, (c, 0)))
+        cands.append(_tied(1, (0, c), 1, (c, 0)))
     return cands
 
 
@@ -129,8 +120,7 @@ def _enumerate_cached(n: int, d: Fraction) -> tuple:
     else:
         raise UnsupportedRequest("tight-instance data unavailable")
     seen = set()
-    for cand in cands:
-        u, v = cand.generators()
+    for u, v in cands:
         if all(m == 0 for m in minors2(u, v)):
             continue
         seen.add(canonicalize_symmetry(u, v))

@@ -7,7 +7,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import UnsupportedRequest, enumerate_2d_subtori
@@ -22,23 +21,8 @@ from .spectrum import (
 from .torus import d_line_oracle, d_plane
 
 
-class ParseError(ValueError):
+class ParseError(argparse.ArgumentTypeError):
     """Malformed command-line or file input."""
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    """One fully parsed invocation."""
-
-    command: str
-    vector: tuple | None = None
-    basis: tuple | None = None
-    n: int | None = None
-    d: Fraction | None = None
-    bound: int | None = None
-    fmt: str = "text"
-    trace: bool = False
-    against: str | None = None
 
 
 def parse_vector(text: str) -> tuple[int, ...]:
@@ -79,9 +63,13 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad fraction {text!r}")
 
 
-def parse_bound(bound: int | None) -> int | None:
-    """Reject a certification box bound below 1: the box would hold no pair."""
-    if bound is not None and bound < 1:
+def parse_bound(text: str) -> int:
+    """Parse a certification box bound; below 1 the box would hold no pair."""
+    try:
+        bound = int(text)
+    except ValueError:
+        raise ParseError(f"bad bound {text!r}: expected an integer")
+    if bound < 1:
         raise ParseError(f"bad bound {bound}: must be at least 1")
     return bound
 
@@ -137,18 +125,18 @@ def load_description(path: str) -> SpectrumDescription:
         raise ParseError(f"cannot load spectrum description from {path}: {e}")
 
 
-def cmd_d(job: JobConfig) -> int:
-    value = d_plane(*job.basis) if job.basis else d_line_oracle(job.vector)
-    if job.fmt == "json":
+def cmd_d(args: argparse.Namespace) -> int:
+    value = d_plane(*args.basis) if args.basis is not None else d_line_oracle(args.vector)
+    if args.format == "json":
         emit_json({"d_value": str(value)})
     else:
         print(value)
     return 0
 
 
-def cmd_spectrum(job: JobConfig) -> int:
-    ana = SpectrumAnalysis(*job.basis)
-    if job.trace:
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    ana = SpectrumAnalysis(*args.basis)
+    if args.trace:
         print(f"route {ana.route}", file=sys.stderr)
         for c, base, direction, recs in ana.flat_lines:
             print(f"line c={c} base={base} direction={direction}", file=sys.stderr)
@@ -158,8 +146,8 @@ def cmd_spectrum(job: JobConfig) -> int:
             print(f"sector class {key}", file=sys.stderr)
             for r in recs:
                 print(f"  {r}", file=sys.stderr)
-    desc = ana.description(job.bound)
-    if job.fmt == "json":
+    desc = ana.description(args.bound)
+    if args.format == "json":
         emit_json(spectrum_payload(desc))
         return 0
     print(f"d_value {desc.d_value}")
@@ -176,9 +164,9 @@ def cmd_spectrum(job: JobConfig) -> int:
     return 0
 
 
-def cmd_enumerate(job: JobConfig) -> int:
-    planes = enumerate_2d_subtori(job.n, job.d)
-    if job.fmt == "json":
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    planes = enumerate_2d_subtori(args.n, args.d)
+    if args.format == "json":
         emit_json([{"u": list(u), "v": list(v)} for u, v in planes])
     else:
         for u, v in planes:
@@ -186,9 +174,9 @@ def cmd_enumerate(job: JobConfig) -> int:
     return 0
 
 
-def cmd_finiteness(job: JobConfig) -> int:
-    report = finiteness(*job.basis)
-    if job.fmt == "json":
+def cmd_finiteness(args: argparse.Namespace) -> int:
+    report = finiteness(*args.basis)
+    if args.format == "json":
         emit_json(
             {
                 "verdict": report.verdict,
@@ -224,9 +212,9 @@ def segment_payload(e) -> dict:
     }
 
 
-def cmd_zero_locus(job: JobConfig) -> int:
-    elements = zero_locus(*job.basis)
-    if job.fmt == "json":
+def cmd_zero_locus(args: argparse.Namespace) -> int:
+    elements = zero_locus(*args.basis)
+    if args.format == "json":
         payload = []
         for e in elements:
             if e.kind == "point":
@@ -247,30 +235,30 @@ def cmd_zero_locus(job: JobConfig) -> int:
     return 0
 
 
-def cmd_certify(job: JobConfig) -> int:
-    u, v = job.basis
-    if job.against:
-        loaded = load_description(job.against)
-        bound = job.bound if job.bound is not None else loaded.certified_bound
+def cmd_certify(args: argparse.Namespace) -> int:
+    u, v = args.basis
+    if args.against is not None:
+        loaded = load_description(args.against)
+        bound = args.bound if args.bound is not None else loaded.certified_bound
         fresh = SpectrumAnalysis(u, v).description(bound)
         left, right = spectrum_payload(loaded), spectrum_payload(fresh)
         if left == right:
-            print(f"verified against {job.against} at bound {bound}")
+            print(f"verified against {args.against} at bound {bound}")
             return 0
         for key in sorted(left):
             if left[key] != right[key]:
                 print(f"mismatch {key}: file {left[key]!r} vs recomputed {right[key]!r}")
         return 1
-    bound = job.bound if job.bound is not None else 200
+    bound = args.bound if args.bound is not None else 200
     desc = SpectrumAnalysis(u, v).description(bound)
-    if job.fmt == "csv":
+    if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["A", "B", "D_value", "classification"])
         for A, B, val, label in classify_pairs(u, v, desc, bound):
             writer.writerow([A, B, "" if val is None else str(val), label])
         return 0
     report = certify(u, v, desc, bound)
-    if job.fmt == "json":
+    if args.format == "json":
         emit_json(
             {
                 "bound": report.bound,
@@ -322,56 +310,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_d = sub.add_parser("d", help="exact distance of a line or plane to the half-center")
     group = p_d.add_mutually_exclusive_group(required=True)
-    group.add_argument("--vector", help="comma-separated speeds, e.g. 1,2,3,4")
-    group.add_argument("--basis", help="two generators joined by ';', e.g. 0,1,2,3;1,0,0,0")
+    group.add_argument(
+        "--vector", type=parse_vector, help="comma-separated speeds, e.g. 1,2,3,4"
+    )
+    group.add_argument(
+        "--basis", type=parse_basis, help="two generators joined by ';', e.g. 0,1,2,3;1,0,0,0"
+    )
     p_d.add_argument("--format", choices=("text", "json"), default="text")
 
     p_s = sub.add_parser("spectrum", help="certified description of the order-1 spectrum")
-    p_s.add_argument("--basis", required=True)
-    p_s.add_argument("--bound", type=int, default=200, help="certification box bound")
+    p_s.add_argument("--basis", type=parse_basis, required=True)
+    p_s.add_argument("--bound", type=parse_bound, default=200, help="certification box bound")
     p_s.add_argument("--format", choices=("text", "json"), default="json")
     p_s.add_argument("--trace", action="store_true", help="dump per-class records to stderr")
 
     p_e = sub.add_parser("enumerate", help="planes with a prescribed distance, up to symmetry")
     p_e.add_argument("--n", type=int, required=True, help="ambient dimension")
-    p_e.add_argument("--d", required=True, help="target distance, e.g. 1/4")
+    p_e.add_argument("--d", type=parse_rational, required=True, help="target distance, e.g. 1/4")
     p_e.add_argument("--format", choices=("text", "json"), default="text")
 
     p_f = sub.add_parser("finiteness", help="finite or infinite order-1 spectrum, with witness")
-    p_f.add_argument("--basis", required=True)
+    p_f.add_argument("--basis", type=parse_basis, required=True)
     p_f.add_argument("--format", choices=("text", "json"), default="text")
 
     p_z = sub.add_parser("zero-locus", help="points and segments attaining the plane distance")
-    p_z.add_argument("--basis", required=True)
+    p_z.add_argument("--basis", type=parse_basis, required=True)
     p_z.add_argument("--format", choices=("text", "json"), default="text")
 
     p_c = sub.add_parser("certify", help="classify every in-box value against a description")
-    p_c.add_argument("--basis", required=True)
-    p_c.add_argument("--bound", type=int, default=None, help="certification box bound")
+    p_c.add_argument("--basis", type=parse_basis, required=True)
+    p_c.add_argument("--bound", type=parse_bound, default=None, help="certification box bound")
     p_c.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_c.add_argument("--against", help="verify a previously emitted spectrum JSON file")
     return parser
 
 
-def job_from_args(args: argparse.Namespace) -> JobConfig:
-    return JobConfig(
-        command=args.command,
-        vector=parse_vector(args.vector) if getattr(args, "vector", None) else None,
-        basis=parse_basis(args.basis) if getattr(args, "basis", None) else None,
-        n=getattr(args, "n", None),
-        d=parse_rational(args.d) if getattr(args, "d", None) else None,
-        bound=parse_bound(getattr(args, "bound", None)),
-        fmt=getattr(args, "format", "text"),
-        trace=getattr(args, "trace", False),
-        against=getattr(args, "against", None),
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        job = job_from_args(args)
-        return COMMANDS[job.command](job)
+        return COMMANDS[args.command](args)
     except BrokenPipeError:
         # downstream reader closed early; silence the flush-on-exit complaint
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -379,12 +356,14 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (ValueError, RuntimeError) as e:
         message = str(e)
-        if getattr(args, "format", "text") == "json":
+        if args.format == "json":
             emit_json({"error": message})
         else:
             print(f"error: {message}", file=sys.stderr)
+        if isinstance(e, RuntimeError):
+            return 4  # an internal self-check failed
         return 3 if isinstance(e, UnsupportedRequest) else 1
 
 

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import Vec, gcd_ext, orient, primitive_kernel, saturate_plane
+from .exact import Vec, gcd_ext, orient, primitive_kernel
 from .pwl import CirclePWL, coset_min_direct, gamma_table
 from .slices import slice_structure
-from .torus import oracle_sweep, plane_proper, project_redundant
+from .torus import normal_plane, oracle_sweep
 
 WITNESS_RANGE = 11  # progression indices 0..10 are checked for witnesses
 
@@ -89,11 +90,8 @@ class ClassSetup:
 
 
 def class_setup(u: Vec, v: Vec) -> ClassSetup:
-    """Saturate, project, and collect every slice component with its linear forms."""
-    u, v = saturate_plane(u, v)
-    if not plane_proper(u, v):
-        raise ValueError("improper subtorus")
-    u, v = project_redundant(u, v)
+    """Normalise the plane and collect every slice component with its linear forms."""
+    u, v = normal_plane(u, v)
     comps: list[Component] = []
     n = len(u)
     for i in range(n):
@@ -213,8 +211,7 @@ def halfline_analysis(
             dinf = _sign(qd)
             ch = Fraction(dinf * c.q_of(A0, B0))
             ph = Fraction(dinf * qd * mt)
-            a = (dinf * c.a_of(A0, B0)) % c.K
-            tab = setup.table(c, a)
+            tab = setup.table(c, dinf * c.a_of(A0, B0))
             gam = tab.gamma[int(ch) % tab.modulus]
             cands.append((c, gam, ph, ch, tab.q0))
         if not cands:
@@ -280,8 +277,7 @@ def sector_decomposition(setup: ClassSetup, aleph: int, beth: int) -> list[Secto
     gam: dict[tuple[int, int], Fraction] = {}
     for c in setup.critical:
         for delta in (1, -1):
-            a = (delta * c.a_of(aleph, beth)) % c.K
-            tab = setup.table(c, a)
+            tab = setup.table(c, delta * c.a_of(aleph, beth))
             q_res = (delta * c.q_of(aleph, beth)) % tab.modulus
             gam[(c.idx, delta)] = tab.gamma[q_res]
     rays = {(0, 1), (0, -1)}
@@ -343,11 +339,7 @@ def sector_decomposition(setup: ClassSetup, aleph: int, beth: int) -> list[Secto
     for r in recs[1:]:
         p = merged[-1]
         if (p.kappa, p.gamma, p.form) == (r.kappa, r.gamma, r.form):
-            merged[-1] = SectorRecord(
-                p.aleph, p.beth, p.start_ray, r.end_ray, p.kappa,
-                gamma=p.gamma, form=p.form, c0=p.c0, alpha=p.alpha, beta=p.beta,
-                winner=p.winner,
-            )
+            merged[-1] = replace(p, end_ray=r.end_ray)
         else:
             merged.append(r)
     if len({r.kappa for r in merged}) != 1:
@@ -374,6 +366,21 @@ def progression_index(
         return None
     s = (1 / (value - d) - beta) / alpha
     return int(s) if s.denominator == 1 and s >= 0 else None
+
+
+def classify_value(
+    d: Fraction, fams: list[tuple[Fraction, Fraction]], value: Fraction | None
+) -> str:
+    """Part of a description holding value: improper (None), base, the first listed
+    progression(alpha,beta) that contains it, or exceptional."""
+    if value is None:
+        return "improper"
+    if value == d:
+        return "base"
+    for a, b in fams:
+        if progression_index(d, a, b, value) is not None:
+            return f"progression({a},{b})"
+    return "exceptional"
 
 
 def _absorb(fams: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
@@ -483,13 +490,11 @@ class SpectrumAnalysis:
                 )
             else:
                 base_att = bool(s.flats)
-        exceptional = []
-        for val in sorted(index):
-            if val == d:
-                continue
-            if any(progression_index(d, a, b, val) is not None for a, b in fams):
-                continue
-            exceptional.append((val, min(index[val])))
+        exceptional = [
+            (val, min(index[val]))
+            for val in sorted(index)
+            if classify_value(d, fams, val) == "exceptional"
+        ]
         return SpectrumDescription(d, tuple(progs), base_att, tuple(exceptional), certify_bound)
 
     def predict(self, A: int, B: int) -> Fraction | None:
@@ -541,9 +546,7 @@ class SpectrumAnalysis:
             q = c.q_of(A, B)
             if q == 0:
                 return None
-            delta = _sign(q)
-            a = (delta * c.a_of(A, B)) % c.K
-            if abs(q) < s.table(c, a).q0:
+            if abs(q) < s.table(c, _sign(q) * c.a_of(A, B)).q0:
                 return None
         mp = s.m_prime
         recs = self.sector_records.get((A % mp, B % mp))
@@ -581,44 +584,28 @@ class CertifyReport:
 
 def classify_pairs(u: Vec, v: Vec, description: SpectrumDescription, bound: int):
     """Yield (A, B, value, label) for every in-box pair; label names the matching description part."""
-    u, v = saturate_plane(u, v)
-    u, v = project_redundant(u, v)
-    sweep = oracle_sweep(u, v, bound)
-    d = description.d_value
+    sweep = oracle_sweep(*normal_plane(u, v), bound)
     fams = [(p.alpha, p.beta) for p in description.progressions]
-    for pair in sorted(sweep):
-        val = sweep[pair]
-        if val is None:
-            yield pair[0], pair[1], val, "improper"
-            continue
-        if val == d:
-            yield pair[0], pair[1], val, "base"
-            continue
-        for a, b in fams:
-            if progression_index(d, a, b, val) is not None:
-                yield pair[0], pair[1], val, f"progression({a},{b})"
-                break
-        else:
-            yield pair[0], pair[1], val, "exceptional"
+    for (A, B), val in sorted(sweep.items()):
+        yield A, B, val, classify_value(description.d_value, fams, val)
 
 
 def certify(u: Vec, v: Vec, description: SpectrumDescription, bound: int) -> CertifyReport:
     """Sweep the parameter box and classify each exact D value against the description."""
-    fams = [(p.alpha, p.beta) for p in description.progressions]
-    index = {f"progression({a},{b})": k for k, (a, b) in enumerate(fams)}
-    counts = [0] * len(fams)
-    base = improper = total = 0
+    counts: Counter = Counter()
     exceptional: dict = {}
     for A, B, val, label in classify_pairs(u, v, description, bound):
-        total += 1
-        if label == "improper":
-            improper += 1
-        elif label == "base":
-            base += 1
-        elif label == "exceptional":
+        counts[label] += 1
+        if label == "exceptional":
             exceptional.setdefault(val, (A, B))
-        else:
-            counts[index[label]] += 1
+    progression_counts = tuple(
+        counts[f"progression({p.alpha},{p.beta})"] for p in description.progressions
+    )
     return CertifyReport(
-        bound, total, improper, base, tuple(counts), tuple(sorted(exceptional.items()))
+        bound,
+        counts.total(),
+        counts["improper"],
+        counts["base"],
+        progression_counts,
+        tuple(sorted(exceptional.items())),
     )

@@ -8,7 +8,7 @@ from itertools import permutations, product
 from types import MappingProxyType
 
 from . import _kernels
-from .exact import Vec, gcd_ext, saturate_plane
+from .exact import Vec, gcd_ext, orient, saturate_plane
 from .pwl import dist_to_half
 from .slices import slice_structure
 
@@ -50,30 +50,21 @@ def plane_proper(u: Vec, v: Vec) -> bool:
     return all((a, b) != (0, 0) for a, b in zip(u, v))
 
 
-def project_redundant(u: Vec, v: Vec) -> tuple[Vec, Vec]:
-    """Delete coordinates on which the plane satisfies x_i = +-x_j identically."""
-    changed = True
-    while changed:
-        changed = False
-        n = len(u)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (u[i], v[i]) in ((u[j], v[j]), (-u[j], -v[j])):
-                    u = u[:j] + u[j + 1 :]
-                    v = v[:j] + v[j + 1 :]
-                    changed = True
-                    break
-            if changed:
-                break
-    return u, v
+def normal_plane(u: Vec, v: Vec) -> tuple[Vec, Vec]:
+    """Saturate span(u, v), reject an improper plane, and keep the first coordinate of
+    each class on which the plane satisfies x_i = +-x_j identically."""
+    u, v = saturate_plane(u, v)
+    if not plane_proper(u, v):
+        raise ValueError("improper subtorus")
+    cols: dict[tuple[int, int], tuple[int, int]] = {}
+    for a, b in zip(u, v):
+        cols.setdefault(orient(a, b), (a, b))
+    return tuple(a for a, _ in cols.values()), tuple(b for _, b in cols.values())
 
 
 def d_plane(u: Vec, v: Vec) -> Fraction:
     """Exact distance of the saturated plane span(u, v) to the half-center."""
-    u, v = saturate_plane(u, v)
-    if not plane_proper(u, v):
-        raise ValueError("improper subtorus")
-    u, v = project_redundant(u, v)
+    u, v = normal_plane(u, v)
     n = len(u)
     best = None
     for i in range(n):

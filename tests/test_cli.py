@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lonely_runner
 from goldens import FINITE_THREE_TENTHS, SECTOR_QUARTER, STRIP_QUARTER, TENTH_PLANES
 from lonely_runner.cli import (
     ParseError,
@@ -70,12 +75,25 @@ def test_degenerate_basis_json_error(capsys):
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):
-    assert run(capsys, "d", "--vector", "1,x,3")[0] == 2
-    assert run(capsys, "d", "--basis", "1,2,3;4,5")[0] == 2
-    assert run(capsys, "enumerate", "--n", "3", "--d", "1/0")[0] == 2
+    bad_args = [
+        ("d", "--vector", "1,x,3"),
+        ("d", "--vector", ""),
+        ("d", "--basis", "1,2,3;4,5"),
+        ("d", "--basis", ""),
+        ("enumerate", "--n", "3", "--d", "1/0"),
+        ("enumerate", "--n", "3", "--d", ""),
+        ("spectrum", "--basis", ""),
+        ("certify", "--basis", "", "--bound", "5"),
+    ]
     for bound in ("-5", "0"):
-        assert run(capsys, "spectrum", "--basis", U2_BASIS, "--bound", bound)[0] == 2
-        assert run(capsys, "certify", "--basis", U2_BASIS, "--bound", bound)[0] == 2
+        bad_args.append(("spectrum", "--basis", U2_BASIS, "--bound", bound))
+        bad_args.append(("certify", "--basis", U2_BASIS, "--bound", bound))
+    for argv in bad_args:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
+    # a bad --against file is found after parsing and still returns 2
     empty_box = {
         "d_value": "1/4",
         "progressions": [],
@@ -86,6 +104,34 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     path = tmp_path / "empty_box.json"
     path.write_text(json.dumps(empty_box))
     assert run(capsys, "certify", "--basis", U2_BASIS, "--against", str(path))[0] == 2
+
+
+def test_parse_error_process_exits_2_without_traceback():
+    src = str(Path(lonely_runner.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lonely_runner.cli", "d", "--vector", "1,x,3"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_self_check_failure_exit_4(capsys, monkeypatch):
+    def failing_gamma_table(*args):
+        raise RuntimeError("gamma table self-check failed")
+
+    monkeypatch.setattr("lonely_runner.spectrum.gamma_table", failing_gamma_table)
+    code, out, err = run(
+        capsys, "spectrum", "--basis", U2_BASIS, "--bound", "5", "--format", "text"
+    )
+    assert (code, out, err) == (4, "", "error: gamma table self-check failed\n")
+    code, out, _ = run(capsys, "spectrum", "--basis", U2_BASIS, "--bound", "5")
+    assert code == 4
+    assert json.loads(out) == {"error": "gamma table self-check failed"}
 
 
 def test_argparse_rejects_unknown_choice():

@@ -18,9 +18,12 @@ from goldens import (
 from lonely_runner.pwl import gamma_table
 from lonely_runner.spectrum import (
     SpectrumAnalysis,
+    SpectrumDescription,
     _absorb,
     certify,
     class_setup,
+    classify_pairs,
+    classify_value,
     halfline_analysis,
     normalize_beta,
     progression_index,
@@ -75,6 +78,12 @@ def test_class_setup_base_values():
 def test_class_setup_rejects_improper_plane():
     with pytest.raises(ValueError):
         class_setup((1, 0, 0), (0, 1, 0))
+
+
+def test_classify_pairs_rejects_improper_plane():
+    desc = SpectrumDescription(Fr(1, 4), (), True, (), 5)
+    with pytest.raises(ValueError, match="improper subtorus"):
+        next(classify_pairs((1, 2, 0), (2, 3, 0), desc, 5))
 
 
 def test_routes():
@@ -387,3 +396,15 @@ def test_progression_index():
     assert progression_index(d, Fr(16), Fr(20), d + Fr(1, 4)) is None
     assert progression_index(d, Fr(16), Fr(20), d + Fr(1, 30)) is None
     assert progression_index(d, Fr(16), Fr(20), d) is None
+
+
+def test_classify_value_sector_quarter():
+    d, fams = Fr(1, 4), [(Fr(8), Fr(12))]
+    assert classify_value(d, fams, None) == "improper"
+    assert classify_value(d, fams, d) == "base"
+    assert classify_value(d, fams, d + Fr(1, 28)) == "progression(8,12)"
+    assert classify_value(d, fams, d + Fr(1, 13)) == "exceptional"
+    # a value in two listed families goes to the first one
+    both = fams + [(Fr(16), Fr(20))]
+    assert classify_value(d, both, d + Fr(1, 20)) == "progression(8,12)"
+    assert classify_value(d, both[::-1], d + Fr(1, 20)) == "progression(16,20)"

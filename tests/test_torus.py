@@ -1,18 +1,19 @@
 """Tests for point/line/coset/plane distance computations and symmetry canonicalization."""
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from lonely_runner import _kernels
+from lonely_runner.exact import saturate_plane
 from lonely_runner.torus import (
     canonicalize_symmetry,
     d_line_oracle,
     d_plane,
     d_point,
     d_two_speeds,
+    normal_plane,
     oracle_sweep,
     plane_proper,
 )
@@ -77,24 +78,13 @@ def test_d_line_oracle_is_lower_bound_of_dense_sample():
         assert achieved
 
 
-def test_two_speed_parity_formula():
-    for a in range(1, 12):
-        for b in range(1, 12):
-            if math.gcd(a, b) != 1:
-                continue
-            d = d_line_oracle((a, b))
-            if a % 2 == 1 and b % 2 == 1:
-                assert d == 0
-            else:
-                assert d == F(1, 2 * (a + b))
-
-
 def test_d_two_speeds_matches_python_kernel(monkeypatch):
     monkeypatch.setenv("LONELY_RUNNER_KERNEL", "python")
     for a in range(1, 41):
         for b in range(1, 41):
             if a != b:
-                assert d_two_speeds(a, b) == Fraction(*_kernels.d_line_raw([a, b]))
+                kernel = Fraction(*_kernels.d_line_raw([a, b]))
+                assert d_line_oracle((a, b)) == d_two_speeds(a, b) == kernel
 
 
 def test_d_plane_goldens():
@@ -111,6 +101,42 @@ def test_d_plane_improper():
 def test_d_plane_projects_redundant_coordinate():
     assert d_plane((0, 1, 2, 3, 3), (1, 0, 0, 0, 0)) == F(1, 4)
     assert d_plane((1, 1, 2), (0, 0, 1)) == 0
+
+
+def _project_redundant_restart(u, v):
+    """Reference: delete the later coordinate of the first pair with x_i = +-x_j, then restart."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(u)):
+            for j in range(i + 1, len(u)):
+                if (u[i], v[i]) in ((u[j], v[j]), (-u[j], -v[j])):
+                    u, v = u[:j] + u[j + 1 :], v[:j] + v[j + 1 :]
+                    changed = True
+                    break
+            if changed:
+                break
+    return u, v
+
+
+def test_normal_plane_matches_restart_loop():
+    rng = random.Random(67)
+    checked = 0
+    for _ in range(3000):
+        n = rng.randint(2, 7)
+        u = tuple(rng.randint(-2, 2) for _ in range(n))
+        v = tuple(rng.randint(-2, 2) for _ in range(n))
+        try:
+            su, sv = saturate_plane(u, v)
+        except ValueError:
+            continue
+        if not plane_proper(su, sv):
+            with pytest.raises(ValueError, match="improper subtorus"):
+                normal_plane(u, v)
+            continue
+        assert normal_plane(u, v) == _project_redundant_restart(su, sv)
+        checked += 1
+    assert checked > 500
 
 
 def test_d_plane_bounded_by_lines():
