@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Vec, gcd_ext, minors2, orient, saturate_plane, vec_content
+from .exact import Vec, gcd_ext, orient, saturate_plane
 from .pwl import dist_to_half
 from .torus import d_plane
 
@@ -100,13 +100,9 @@ def _segment_contains(seg: LocusElement, pt: tuple) -> bool:
 
 def zero_locus(u: Vec, v: Vec) -> list[LocusElement]:
     """Decompose the set of plane points at the plane's own distance into maximal points and segments."""
-    u, v = tuple(u), tuple(v)
-    if vec_content(minors2(u, v)) == 0:
-        raise ValueError("generators do not span a plane")
     d = d_plane(u, v)
-    if vec_content(minors2(u, v)) != 1:
-        # coordinates below refer to the saturated basis
-        u, v = saturate_plane(u, v)
+    # coordinates below refer to the saturated basis; a saturated one comes back unchanged
+    u, v = saturate_plane(u, v)
     circles = {}
     for uk, vk in zip(u, v):
         g, p, q = gcd_ext(uk, vk)

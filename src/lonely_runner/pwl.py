@@ -6,6 +6,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 HALF = Fraction(1, 2)
 CHECK_PERIODS = 4  # a gamma table is compared with direct coset minima over this many periods past q0
@@ -144,48 +145,26 @@ def make_pwl(points: list[tuple[Fraction, Fraction]]) -> CirclePWL:
 def build_restriction(
     base: tuple[Fraction | int, ...], direction: tuple[int, ...]
 ) -> CirclePWL:
-    """Upper envelope of t -> |{base_k + t*dir_k} - 1/2| over all coordinates."""
+    """Upper envelope of t -> |{base_k + t*dir_k} - 1/2| over all coordinates.
+
+    The envelope can bend only where some x_k = 0 or 1/2 mod 1 (a coordinate's own
+    kinks) or x_a = +-x_b mod 1 (two coordinates tie). Each such event is c + t*d in Z;
+    with d != 0 its solutions mod 1 are t = (m - c)/d, m = 0..|d|-1. make_pwl keeps
+    exactly the samples where the slope changes.
+    """
     if len(base) != len(direction):
         raise ValueError("base/direction length mismatch")
     if all(d == 0 for d in direction):
         raise ValueError("degenerate direction")
-    base = tuple(Fraction(b) % 1 for b in base)
-
-    def coord(k: int, t: Fraction) -> Fraction:
-        return dist_to_half(base[k] + t * direction[k])
-
-    kinks = set()
-    for k, d in enumerate(direction):
-        if d == 0:
-            continue
-        period = Fraction(1, abs(d))
-        for h in (Fraction(0), HALF):
-            t0 = ((h - base[k]) / d) % period
-            for i in range(abs(d)):
-                kinks.add(t0 + i * period)
-    bps = sorted(kinks)
-    nk = len(bps)
-    n = len(base)
-    cross = set()
-    for idx in range(nk):
-        t1 = bps[idx]
-        t2 = bps[(idx + 1) % nk] + (1 if idx == nk - 1 else 0)
-        if t1 == t2:
-            continue
-        vals1 = [coord(k, t1) for k in range(n)]
-        vals2 = [coord(k, t2) for k in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                sa = (vals2[a] - vals1[a]) / (t2 - t1)
-                sb = (vals2[b] - vals1[b]) / (t2 - t1)
-                if sa == sb:
-                    continue
-                ts = t1 + (vals1[b] - vals1[a]) / (sa - sb)
-                if t1 < ts < t2:
-                    cross.add(ts % 1)
-    all_bps = sorted(kinks | cross)
-    samples = [(t, max(coord(k, t) for k in range(n))) for t in all_bps]
-    return make_pwl(samples)
+    lines = [(Fraction(c), d) for c, d in zip(base, direction)]
+    events = [(c - h, d) for c, d in lines for h in (0, HALF)]
+    events += [
+        (ca + s * cb, da + s * db)
+        for (ca, da), (cb, db) in combinations(lines, 2)
+        for s in (1, -1)
+    ]
+    ts = {Fraction(m - c, d) % 1 for c, d in events if d for m in range(abs(d))}
+    return make_pwl([(t, max(dist_to_half(c + t * d) for c, d in lines)) for t in ts])
 
 
 def approx(tau: Fraction, b: Fraction, q: int) -> tuple[int, int, int]:

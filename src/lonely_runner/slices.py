@@ -24,7 +24,11 @@ class SliceStructure:
 
 
 def slice_structure(u: Vec, v: Vec, i: int, j: int, eps: int) -> SliceStructure:
-    """Structure of span(u, v) intersected with {x_i = eps * x_j}; indices 0-based, i < j."""
+    """Structure of span(u, v) intersected with {x_i = eps * x_j}; indices 0-based, i < j.
+
+    The slice has K components, ell = 0..K-1, but restrictions holds f_ell only for
+    ell <= K // 2: component K - ell is the mirror image, f_{K-ell}(t) = f_ell(-t).
+    """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     if not 0 <= i < j < len(u):
@@ -33,7 +37,7 @@ def slice_structure(u: Vec, v: Vec, i: int, j: int, eps: int) -> SliceStructure:
     alpha = u[i] - eps * u[j]
     beta = v[i] - eps * v[j]
     if alpha == 0 and beta == 0:
-        raise ValueError("degenerate slice; project first")
+        raise ValueError("degenerate slice; normalise with torus.normal_plane first")
     a0, b0 = primitive_kernel(alpha, beta)
     u_prime = tuple(a0 * u[k] + b0 * v[k] for k in range(len(u)))
     v_prime = complete_to_basis(u_prime, (u, v))
@@ -47,6 +51,6 @@ def slice_structure(u: Vec, v: Vec, i: int, j: int, eps: int) -> SliceStructure:
         build_restriction(
             tuple(Fraction(ell * c, K) for c in v_prime), u_prime
         )
-        for ell in range(K)
+        for ell in range(K // 2 + 1)
     )
     return SliceStructure(i, j, eps, u_prime, v_prime, K, (z1, z2, z3, z4), restrictions)

@@ -64,13 +64,9 @@ class ClassSetup:
     _m_prime: int | None = field(default=None, repr=False)
 
     def table(self, comp: Component, a: int):
-        """Certified gamma table for one component at parameter residue a.
-
-        Components ell and K - ell share one table: f_{K-ell}(t) = f_ell(-t) and
-        their coset offsets are negatives of each other, so the coset minima agree.
-        """
+        """Certified gamma table for one component at parameter residue a."""
         a = a % comp.K
-        key = (comp.i, comp.j, comp.eps, min(comp.ell, (comp.K - comp.ell) % comp.K), a)
+        key = (comp.i, comp.j, comp.eps, comp.ell, a)
         if key not in self._tables:
             b = Fraction(a * comp.ell, comp.K) % 1
             self._tables[key] = gamma_table(comp.f, b)
@@ -90,7 +86,8 @@ class ClassSetup:
 
 
 def class_setup(u: Vec, v: Vec) -> ClassSetup:
-    """Normalise the plane and collect every slice component with its linear forms."""
+    """Normalise the plane and collect every slice component ell <= K // 2 (component
+    K - ell mirrors it and has the same coset minima) with its linear forms."""
     u, v = normal_plane(u, v)
     comps: list[Component] = []
     n = len(u)
@@ -99,8 +96,7 @@ def class_setup(u: Vec, v: Vec) -> ClassSetup:
             for eps in (1, -1):
                 s = slice_structure(u, v, i, j, eps)
                 z1, z2, z3, z4 = s.z
-                for ell in range(s.K):
-                    f = s.restrictions[ell]
+                for ell, f in enumerate(s.restrictions):
                     flat = tuple(b - a for a, b in f.flat_pieces_at_min())
                     comps.append(
                         Component(

@@ -69,9 +69,10 @@ def test_d_improper_exit(capsys):
 
 
 def test_degenerate_basis_json_error(capsys):
-    code, out, _ = run(capsys, "d", "--basis", "1,2,3;2,4,6", "--format", "json")
-    assert code == 1
-    assert json.loads(out) == {"error": "not a plane"}
+    for cmd in ("d", "zero-locus", "finiteness"):
+        code, out, _ = run(capsys, cmd, "--basis", "1,2,3;2,4,6", "--format", "json")
+        assert code == 1, cmd
+        assert json.loads(out) == {"error": "not a plane"}, cmd
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):

@@ -5,6 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from goldens import (
+    FINITE_THREE_TENTHS,
+    SECTOR_QUARTER,
+    SECTOR_THIRD,
+    STRIP_QUARTER,
+    TENTH_PLANES,
+)
 from lonely_runner.pwl import (
     CirclePWL,
     approx,
@@ -14,6 +21,8 @@ from lonely_runner.pwl import (
     gamma_table,
     make_pwl,
 )
+from lonely_runner.slices import slice_structure
+from lonely_runner.torus import normal_plane
 
 F = Fraction
 
@@ -130,6 +139,72 @@ def test_build_restriction_matches_pointwise_random():
                 dist_to_half(base[k] + t * direction[k]) for k in range(n)
             )
             assert f.evaluate(t) == expect
+
+
+def interval_walk_restriction(base, direction):
+    """Reference envelope: sample at every coordinate kink and at every crossing of
+    two coordinates' linear pieces inside a kink interval."""
+    base = tuple(F(b) % 1 for b in base)
+    n = len(base)
+
+    def coord(k, t):
+        return dist_to_half(base[k] + t * direction[k])
+
+    kinks = set()
+    for k, d in enumerate(direction):
+        if d == 0:
+            continue
+        period = F(1, abs(d))
+        for h in (F(0), F(1, 2)):
+            t0 = ((h - base[k]) / d) % period
+            kinks.update(t0 + i * period for i in range(abs(d)))
+    bps = sorted(kinks)
+    cross = set()
+    for idx, t1 in enumerate(bps):
+        t2 = bps[idx + 1] if idx + 1 < len(bps) else bps[0] + 1
+        if t1 == t2:
+            continue
+        vals1 = [coord(k, t1) for k in range(n)]
+        vals2 = [coord(k, t2) for k in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                sa = (vals2[a] - vals1[a]) / (t2 - t1)
+                sb = (vals2[b] - vals1[b]) / (t2 - t1)
+                if sa == sb:
+                    continue
+                ts = t1 + (vals1[b] - vals1[a]) / (sa - sb)
+                if t1 < ts < t2:
+                    cross.add(ts % 1)
+    return make_pwl(
+        [(t, max(coord(k, t) for k in range(n))) for t in sorted(kinks | cross)]
+    )
+
+
+def test_build_restriction_matches_interval_walk_random():
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        direction = (0,) * n
+        while not any(direction):
+            direction = tuple(rng.randint(-4, 4) for _ in range(n))
+        base = tuple(F(rng.randint(0, 24), rng.randint(1, 12)) for _ in range(n))
+        want = interval_walk_restriction(base, direction)
+        assert build_restriction(base, direction) == want, (base, direction)
+
+
+def test_build_restriction_matches_interval_walk_golden_slices():
+    planes = (STRIP_QUARTER, SECTOR_QUARTER, SECTOR_THIRD, FINITE_THREE_TENTHS)
+    for u, v in planes + TENTH_PLANES:
+        u, v = normal_plane(u, v)
+        for i in range(len(u)):
+            for j in range(i + 1, len(u)):
+                for eps in (1, -1):
+                    s = slice_structure(u, v, i, j, eps)
+                    for ell in range(s.K):
+                        base = tuple(F(ell * c, s.K) for c in s.v_prime)
+                        want = interval_walk_restriction(base, s.u_prime)
+                        got = build_restriction(base, s.u_prime)
+                        assert got == want, (u, v, i, j, eps, ell)
 
 
 def test_reflect_matches_negated_direction():

@@ -76,7 +76,9 @@ def test_structure_0123_slice_12_plus_k1():
 
 
 def test_degenerate_slice_rejected():
-    with pytest.raises(ValueError, match="degenerate slice; project first"):
+    with pytest.raises(
+        ValueError, match="degenerate slice; normalise with torus.normal_plane first"
+    ):
         slice_structure((1, 1, 2), (0, 0, 1), 0, 1, 1)
 
 
@@ -165,12 +167,17 @@ def test_restrictions_match_distance_along_components():
 
     rng = random.Random(47)
     s = slice_structure(*PLANE_0123, 1, 3, -1)
+    # only ell <= K // 2 is stored; component K - ell is f_ell mirrored, t -> -t
+    assert len(s.restrictions) == s.K // 2 + 1
     for ell in range(s.K):
-        f = s.restrictions[ell]
         for _ in range(20):
             t = F(rng.randint(0, 60), rng.randint(1, 30))
             pt = [
                 (t * s.u_prime[k] + F(ell, s.K) * s.v_prime[k]) % 1
                 for k in range(4)
             ]
-            assert f.evaluate(t) == max(dist_to_half(c) for c in pt)
+            if ell <= s.K // 2:
+                got = s.restrictions[ell].evaluate(t)
+            else:
+                got = s.restrictions[s.K - ell].evaluate(-t)
+            assert got == max(dist_to_half(c) for c in pt)

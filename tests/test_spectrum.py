@@ -15,7 +15,8 @@ from goldens import (
     STRIP_TENTH_A,
     STRIP_TENTH_B,
 )
-from lonely_runner.pwl import gamma_table
+from lonely_runner.pwl import build_restriction, gamma_table
+from lonely_runner.slices import slice_structure
 from lonely_runner.spectrum import (
     SpectrumAnalysis,
     SpectrumDescription,
@@ -369,21 +370,23 @@ def test_description_invariant_under_signed_permutation():
     assert moved == base
 
 
-def test_mirror_components_share_gamma_tables():
-    # f_{K-ell}(t) = f_ell(-t) and the coset offsets are negatives, so
-    # ClassSetup.table may key components ell and K - ell together
+def test_mirror_components_dropped_exactly():
+    # class_setup keeps component ell <= K - ell only: f_{K-ell}(t) = f_ell(-t) and
+    # the coset offsets are negatives, so the mirror's gamma tables are the same
     for u, v in GOLDEN_PLANES:
         s = class_setup(u, v)
-        comps = {c.key: c for c in s.comps}
+        for c in s.comps:
+            assert c.ell <= c.K - c.ell, (u, v, c.key)
         for c in s.critical:
-            if c.ell >= (c.K - c.ell) % c.K:
-                continue  # self-mirrored, or checked from the other side
-            twin = comps[(c.i, c.j, c.eps, c.K - c.ell)]
-            assert twin in s.critical
+            if not 0 < c.ell < c.K - c.ell:
+                continue
+            sl = slice_structure(s.u, s.v, c.i, c.j, c.eps)
+            mirror = build_restriction(
+                tuple(Fr((c.K - c.ell) * x, c.K) for x in sl.v_prime), sl.u_prime
+            )
             for a in range(c.K):
-                mine = gamma_table(c.f, Fr(a * c.ell, c.K) % 1)
-                theirs = gamma_table(twin.f, Fr(a * twin.ell, c.K) % 1)
-                assert mine == theirs, (u, v, c.key, a)
+                want = gamma_table(mirror, Fr(a * (c.K - c.ell), c.K) % 1)
+                assert want == s.table(c, a), (u, v, c.key, a)
     s = class_setup(*SECTOR_THIRD)
     assert s.m_prime == 6
     assert len(s._tables) == 27
