@@ -1,10 +1,14 @@
 """Benchmark the box-sweep kernel across backends and check they agree."""
 
 import argparse
+import json
 import os
+import sys
 import time
 
-from lonely_runner._kernels import HAVE_NUMBA, sweep_raw
+import numpy
+
+from lonely_runner._kernels import HAVE_NUMBA, backend, sweep_raw
 
 PLANES = {
     "strip-quarter": ((0, 1, 2, 3), (1, 0, 0, 0)),
@@ -35,6 +39,14 @@ def main():
     args = ap.parse_args()
     u, v = PLANES[args.plane]
     modes = ["python", "numpy"] + (["numba"] if HAVE_NUMBA else [])
+    env = {
+        "python": sys.version.split()[0],
+        "numpy": numpy.__version__,
+        "numba_importable": HAVE_NUMBA,
+        "kernel_backend": backend(),
+        "nproc": os.cpu_count(),
+    }
+    print("env " + json.dumps(env, sort_keys=True))
     if not HAVE_NUMBA:
         print("numba unavailable; benchmarking python and numpy only")
     saved = os.environ.get("LONELY_RUNNER_KERNEL")

@@ -1,4 +1,5 @@
-"""Brute-force line-minimum kernels with numba, numpy, and pure-python backends."""
+"""Brute-force line-minimum kernels: one scalar scan, run as python or compiled by numba,
+and a numpy scan vectorized over the sample index."""
 
 from __future__ import annotations
 
@@ -7,8 +8,13 @@ import os
 
 import numpy as np
 
-# keeps every int64 product inside the compiled kernels overflow-safe
+# keeps every int64 product inside the numba and numpy scans overflow-safe
 MAX_ABS = 500_000_000
+
+# most k-steps, d // 2 for each scanned modulus d, that one line's scan may take: over
+# 100x the most any line of the test suite or benchmark takes (9,970), and small enough
+# that the numpy scan's (d // 2) x n arrays stay in memory and a python scan ends in seconds
+WORK_BUDGET = 1_000_000
 
 try:
     from numba import njit
@@ -17,11 +23,10 @@ try:
 except ImportError:  # pragma: no cover
     HAVE_NUMBA = False
 
-    def njit(*a, **k):  # pragma: no cover
-        def wrap(f):
-            return f
 
-        return wrap
+class UnsupportedRequest(ValueError):
+    """A request the package declines: no tight-instance catalog data for the dimension
+    and distance, or a line whose oracle scan would pass WORK_BUDGET steps."""
 
 
 def backend() -> str:
@@ -56,16 +61,25 @@ def _pair_moduli(w: list[int]) -> list[int]:
     return sorted(mods)
 
 
-def _d_line_python(w: list[int]) -> tuple[int, int]:
-    """Unreduced (num, den) of the line minimum; w positive, deduplicated, len >= 2."""
+def _scan(w, mods):
+    """Unreduced (num, den) of the line minimum, or (-1, 0) once the k-scans pass
+    WORK_BUDGET steps; w positive deduplicated speeds (len >= 2), mods their distinct
+    nonzero pairwise sums and differences in increasing order.
+
+    Written in numba's nopython subset: the numba backend compiles this function.
+    """
     best_n, best_d = 1, 2
-    for d in _pair_moduli(w):
+    steps = 0
+    for d in mods:
         if best_n == 0:
             break
         if d < 2:
             continue
         if d % 2 == 1 and best_d >= 2 * d * best_n:
             continue
+        steps += d // 2
+        if steps > WORK_BUDGET:
+            return -1, 0
         for k in range(1, d // 2 + 1):
             num = 0
             full = True
@@ -85,17 +99,21 @@ def _d_line_python(w: list[int]) -> tuple[int, int]:
     return best_n, best_d
 
 
-def _d_line_numpy(w: list[int]) -> tuple[int, int]:
-    """Same contract as _d_line_python, vectorized over the inner sample index."""
+def _scan_numpy(w, mods):
+    """Same contract as _scan, vectorized over k; it beats the python scan on large moduli."""
     arr = np.asarray(w, dtype=np.int64)
     best_n, best_d = 1, 2
-    for d in _pair_moduli(w):
+    steps = 0
+    for d in mods:
         if best_n == 0:
             break
         if d < 2:
             continue
         if d % 2 == 1 and best_d >= 2 * d * best_n:
             continue
+        steps += d // 2
+        if steps > WORK_BUDGET:
+            return -1, 0
         ks = np.arange(1, d // 2 + 1, dtype=np.int64)
         r = (ks[:, None] * arr[None, :]) % d
         nums = np.abs(2 * r - d).max(axis=1)
@@ -105,129 +123,39 @@ def _d_line_numpy(w: list[int]) -> tuple[int, int]:
     return best_n, best_d
 
 
-@njit(cache=True)
-def _d_line_nb(w):  # pragma: no cover - exercised through dispatch
-    nd = w.shape[0]
-    ds = np.empty(nd * (nd - 1), dtype=np.int64)
-    c = 0
-    for i in range(nd):
-        for j in range(i + 1, nd):
-            x = w[i] - w[j]
-            ds[c] = x if x > 0 else -x
-            c += 1
-            ds[c] = w[i] + w[j]
-            c += 1
-    dss = np.sort(ds[:c])
-    best_n = np.int64(1)
-    best_d = np.int64(2)
-    prev = np.int64(0)
-    for idx in range(c):
-        d = dss[idx]
-        if d == prev or d < 2:
-            continue
-        prev = d
-        if best_n == 0:
-            break
-        if (d & 1) == 1 and best_d >= 2 * d * best_n:
-            continue
-        for k in range(1, d // 2 + 1):
-            num = np.int64(0)
-            full = True
-            for m in range(nd):
-                v = 2 * ((k * w[m]) % d) - d
-                if v < 0:
-                    v = -v
-                if v > num:
-                    num = v
-                    if num * best_d >= 2 * d * best_n:
-                        full = False
-                        break
-            if full:
-                best_n = num
-                best_d = 2 * d
-                if best_n == 0:
-                    break
-    return best_n, best_d
+if HAVE_NUMBA:  # pragma: no cover
+    _scan_jit = njit(cache=True)(_scan)
 
 
-@njit(cache=True)
-def _sweep_nb(u, v, bound):  # pragma: no cover - exercised through dispatch
-    n = u.shape[0]
-    out = np.empty(((bound + 1) * (2 * bound + 1), 4), dtype=np.int64)
-    cnt = 0
-    w = np.empty(n, dtype=np.int64)
-    wd = np.empty(n, dtype=np.int64)
-    for A in range(bound + 1):
-        for B in range(-bound, bound + 1):
-            if A == 0 and B <= 0:
-                continue
-            a = A
-            b = B if B >= 0 else -B
-            while b != 0:
-                a, b = b, a % b
-            if a != 1:
-                continue
-            proper = True
-            for m in range(n):
-                w[m] = A * u[m] + B * v[m]
-                if w[m] == 0:
-                    proper = False
-            if not proper:
-                out[cnt, 0] = A
-                out[cnt, 1] = B
-                out[cnt, 2] = 0
-                out[cnt, 3] = 0
-                cnt += 1
-                continue
-            nd = 0
-            for m in range(n):
-                c = w[m] if w[m] > 0 else -w[m]
-                dup = False
-                for t in range(nd):
-                    if wd[t] == c:
-                        dup = True
-                        break
-                if not dup:
-                    wd[nd] = c
-                    nd += 1
-            if nd == 1:
-                num = np.int64(0)
-                den = np.int64(1)
-            else:
-                num, den = _d_line_nb(wd[:nd])
-            out[cnt, 0] = A
-            out[cnt, 1] = B
-            out[cnt, 2] = num
-            out[cnt, 3] = den
-            cnt += 1
-    return out[:cnt]
+def _scan_numba(w, mods):  # pragma: no cover - needs numba
+    return _scan_jit(np.asarray(w, dtype=np.int64), np.asarray(mods, dtype=np.int64))
+
+
+_SCANS = {"python": _scan, "numpy": _scan_numpy, "numba": _scan_numba}
+
+
+def _scan_for(scale: int):
+    """The active backend's scan, or the python scan where int64 could overflow."""
+    mode = backend()
+    return _SCANS["python" if scale > MAX_ABS else mode]
+
+
+def _d_line(scan, w: list[int]) -> tuple[int, int]:
+    """Run a scan on w, refusing a line that would pass WORK_BUDGET steps."""
+    num, den = scan(w, _pair_moduli(w))
+    if den == 0:
+        raise UnsupportedRequest(f"line oracle needs more than {WORK_BUDGET} scan steps")
+    return int(num), int(den)
 
 
 def d_line_raw(w: list[int]) -> tuple[int, int]:
     """Dispatch the per-line kernel; w positive deduplicated speeds, len >= 2."""
-    mode = backend()
-    if mode != "python" and max(w) > MAX_ABS:
-        mode = "python"
-    if mode == "numba":
-        n, d = _d_line_nb(np.asarray(w, dtype=np.int64))
-        return int(n), int(d)
-    if mode == "numpy":
-        return _d_line_numpy(w)
-    return _d_line_python(w)
+    return _d_line(_scan_for(max(w)), w)
 
 
 def sweep_raw(u: tuple[int, ...], v: tuple[int, ...], bound: int) -> list[tuple[int, int, int, int]]:
     """Rows (A, B, num, den) over the parameter box; den = 0 marks an improper line."""
-    mode = backend()
-    scale = bound * max(abs(a) + abs(b) for a, b in zip(u, v))
-    if mode != "python" and scale > MAX_ABS:
-        mode = "python"
-    if mode == "numba":
-        rows = _sweep_nb(
-            np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64), bound
-        )
-        return [tuple(int(x) for x in row) for row in rows]
-    core = _d_line_numpy if mode == "numpy" else _d_line_python
+    scan = _scan_for(bound * max(abs(a) + abs(b) for a, b in zip(u, v)))
     out = []
     for A in range(bound + 1):
         for B in range(-bound, bound + 1):
@@ -243,6 +171,5 @@ def sweep_raw(u: tuple[int, ...], v: tuple[int, ...], bound: int) -> list[tuple[
             if len(wd) == 1:
                 out.append((A, B, 0, 1))
             else:
-                num, den = core(wd)
-                out.append((A, B, num, den))
+                out.append((A, B, *_d_line(scan, wd)))
     return out

@@ -5,14 +5,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
+from ._kernels import UnsupportedRequest
 from .exact import minors2
 from .torus import canonicalize_symmetry, d_plane
 
 Vec = tuple[int, ...]
-
-
-class UnsupportedRequest(ValueError):
-    """The catalog has no tight-instance data for the requested dimension and distance."""
 
 
 def _tied(p: int, rest_u: Vec, q: int, rest_v: Vec) -> tuple[Vec, Vec]:

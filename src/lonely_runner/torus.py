@@ -33,10 +33,12 @@ def d_two_speeds(a: int, b: int) -> Fraction:
 
 def d_line_oracle(w: Vec) -> Fraction:
     """Exact distance of the line through w to the half-center: closed form for two
-    distinct speeds, bounded enumeration otherwise."""
+    distinct speeds, bounded enumeration otherwise. The line through g*w is the line
+    through w, so the speeds are divided by their gcd first."""
     if not w or any(c == 0 for c in w):
         raise ValueError("improper subtorus")
-    speeds = _kernels.dedup_speeds(w)
+    g = math.gcd(*w)
+    speeds = _kernels.dedup_speeds(c // g for c in w)
     if len(speeds) == 1:
         return Fraction(0)
     if len(speeds) == 2:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,20 @@ def test_d_vector(capsys):
     # two distinct speeds take the closed form, however large
     code, out, _ = run(capsys, "d", "--vector", "1000000000,1000000001")
     assert (code, out) == (0, "1/4000000002\n")
+    # the scan stops at modulus 2, where every speed is odd
+    code, out, _ = run(capsys, "d", "--vector", "1,3,1000000001")
+    assert (code, out) == (0, "0\n")
+    # the line through g*w is the line through w
+    code, out, _ = run(capsys, "d", "--vector", "1000000000,2000000000,3000000000")
+    assert (code, out) == (0, "1/4\n")
+
+
+def test_d_vector_past_work_budget_exit_3(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "d", "--vector", "1000000000,1000000001,1000000003", "--format", "json")
+    assert time.perf_counter() - t0 < 1
+    assert code == 3
+    assert "scan steps" in json.loads(out)["error"]
 
 
 def test_d_basis(capsys):

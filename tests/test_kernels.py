@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from goldens import FINITE_THREE_TENTHS, SECTOR_QUARTER, SECTOR_THIRD, STRIP_QUARTER, TENTH_PLANES
 from lonely_runner import _kernels
+from lonely_runner.torus import d_line_oracle
 
 BACKENDS = ["python", "numpy"] + (["numba"] if _kernels.HAVE_NUMBA else [])
+GOLDEN_PLANES = (STRIP_QUARTER, SECTOR_QUARTER, *TENTH_PLANES, SECTOR_THIRD, FINITE_THREE_TENTHS)
 
 
 def test_dedup_speeds():
@@ -51,22 +54,30 @@ def test_big_entries_fall_back_to_python(monkeypatch):
     assert den > 0
 
 
+@pytest.mark.parametrize("mode", ["python", "numpy"])
+def test_work_budget_counted_per_scanned_modulus(monkeypatch, mode):
+    # [1, 2, 3, 4] scans the moduli 2..7 in full: 1 + 1 + 2 + 2 + 3 + 3 = 12 steps
+    monkeypatch.setenv("LONELY_RUNNER_KERNEL", mode)
+    monkeypatch.setattr(_kernels, "WORK_BUDGET", 11)
+    with pytest.raises(_kernels.UnsupportedRequest, match="scan steps"):
+        _kernels.d_line_raw([1, 2, 3, 4])
+    monkeypatch.setattr(_kernels, "WORK_BUDGET", 12)
+    assert _kernels.d_line_raw([1, 2, 3, 4]) == (3, 10)
+
+
 @pytest.mark.parametrize("mode", BACKENDS)
 def test_sweep_raw_matches_per_line(monkeypatch, mode):
-    monkeypatch.setenv("LONELY_RUNNER_KERNEL", mode)
-    u, v = (0, 1, 2, 3), (1, 0, 0, 0)
-    rows = {(A, B): (num, den) for A, B, num, den in _kernels.sweep_raw(u, v, 3)}
-    monkeypatch.setenv("LONELY_RUNNER_KERNEL", "python")
-    expect = {
-        (A, B): (num, den) for A, B, num, den in _kernels.sweep_raw(u, v, 3)
-    }
-    assert set(rows) == set(expect)
-    for key, (num, den) in rows.items():
-        enum, eden = expect[key]
-        if den == 0 or eden == 0:
-            assert den == eden
-        else:
-            assert Fraction(num, den) == Fraction(enum, eden)
+    for u, v in GOLDEN_PLANES:
+        monkeypatch.setenv("LONELY_RUNNER_KERNEL", mode)
+        rows = _kernels.sweep_raw(u, v, 8)
+        monkeypatch.setenv("LONELY_RUNNER_KERNEL", "python")
+        assert rows == _kernels.sweep_raw(u, v, 8), (u, v)
+        for A, B, num, den in rows:
+            w = tuple(A * a + B * b for a, b in zip(u, v))
+            if den == 0:
+                assert 0 in w
+            else:
+                assert Fraction(num, den) == d_line_oracle(w), (u, v, A, B)
 
 
 def test_sweep_raw_box_shape(monkeypatch):

@@ -312,23 +312,21 @@ def test_certify_counts():
     assert report.total == report.improper + report.base_count + sum(report.progression_counts)
 
 
-def test_predict_matches_oracle_strip():
-    u, v = STRIP_QUARTER
+@pytest.mark.parametrize(
+    "plane, bound, route",
+    [
+        (STRIP_QUARTER, 80, "lines"),
+        (STRIP_TENTH_A, 60, "lines"),
+        (SECTOR_TENTH_B, 60, "sector"),
+        (FINITE_THREE_TENTHS, 60, "finite"),
+    ],
+    ids=["strip-quarter", "strip-tenth-a", "sector-tenth-b", "finite-three-tenths"],
+)
+def test_predict_matches_oracle(plane, bound, route):
+    u, v = plane
     ana = SpectrumAnalysis(u, v)
-    sweep = oracle_sweep(u, v, 80)
-    checked = 0
-    for (A, B), val in sweep.items():
-        got = ana.predict(A, B)
-        if got is not None:
-            assert got == val, (A, B)
-            checked += 1
-    assert checked > 100
-
-
-def test_predict_matches_oracle_sector():
-    u, v = SECTOR_TENTH_B
-    ana = SpectrumAnalysis(u, v)
-    sweep = oracle_sweep(u, v, 60)
+    assert ana.route == route
+    sweep = oracle_sweep(u, v, bound)
     checked = 0
     for (A, B), val in sweep.items():
         got = ana.predict(A, B)

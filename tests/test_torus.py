@@ -60,6 +60,15 @@ def test_d_line_oracle_signed_permutation_invariance():
         assert d_line_oracle(w2) == d
 
 
+def test_d_line_oracle_divides_out_the_gcd():
+    rng = random.Random(61)
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        w = tuple(rng.choice([-1, 1]) * rng.randint(1, 25) for _ in range(n))
+        g = rng.randint(2, 10**9)
+        assert d_line_oracle(tuple(g * c for c in w)) == d_line_oracle(w), (w, g)
+
+
 def test_d_line_oracle_is_lower_bound_of_dense_sample():
     rng = random.Random(59)
     for _ in range(20):
