@@ -16,6 +16,11 @@ MAX_ABS = 500_000_000
 # that the numpy scan's (d // 2) x n arrays stay in memory and a python scan ends in seconds
 WORK_BUDGET = 1_000_000
 
+# most (A, B) points one sweep box may hold, so bound <= 999: 11x the largest box of the
+# test suite (bound 300) and 121x the benchmark's (bound 90); a sweep keeps every row in
+# memory, so an unlimited box grows until memory runs out
+BOX_BUDGET = 2_000_000
+
 try:
     from numba import njit
 
@@ -26,7 +31,8 @@ except ImportError:  # pragma: no cover
 
 class UnsupportedRequest(ValueError):
     """A request the package declines: no tight-instance catalog data for the dimension
-    and distance, or a line whose oracle scan would pass WORK_BUDGET steps."""
+    and distance, a line whose oracle scan would pass WORK_BUDGET steps, or a sweep box
+    of more than BOX_BUDGET points."""
 
 
 def backend() -> str:
@@ -155,6 +161,8 @@ def d_line_raw(w: list[int]) -> tuple[int, int]:
 
 def sweep_raw(u: tuple[int, ...], v: tuple[int, ...], bound: int) -> list[tuple[int, int, int, int]]:
     """Rows (A, B, num, den) over the parameter box; den = 0 marks an improper line."""
+    if (bound + 1) * (2 * bound + 1) > BOX_BUDGET:
+        raise UnsupportedRequest(f"sweep box of bound {bound} holds more than {BOX_BUDGET} points")
     scan = _scan_for(bound * max(abs(a) + abs(b) for a, b in zip(u, v)))
     out = []
     for A in range(bound + 1):

@@ -238,6 +238,8 @@ def cmd_zero_locus(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     u, v = args.basis
     if args.against is not None:
+        if args.format != "text":
+            raise ParseError(f"--against prints text only, not --format {args.format}")
         loaded = load_description(args.against)
         bound = args.bound if args.bound is not None else loaded.certified_bound
         fresh = SpectrumAnalysis(u, v).description(bound)

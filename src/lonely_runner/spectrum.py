@@ -36,7 +36,6 @@ class Component:
     A3: int
     f: CirclePWL
     minimum: Fraction
-    flat_lengths: tuple[Fraction, ...]
 
     def q_of(self, A: int, B: int) -> int:
         return self.E * A + self.F * B
@@ -97,17 +96,14 @@ def class_setup(u: Vec, v: Vec) -> ClassSetup:
                 s = slice_structure(u, v, i, j, eps)
                 z1, z2, z3, z4 = s.z
                 for ell, f in enumerate(s.restrictions):
-                    flat = tuple(b - a for a, b in f.flat_pieces_at_min())
                     comps.append(
-                        Component(
-                            len(comps), i, j, eps, ell, s.K, z2, z4, z1, z3, f, f.minimum, flat
-                        )
+                        Component(len(comps), i, j, eps, ell, s.K, z2, z4, z1, z3, f, f.minimum)
                     )
     d = min(c.minimum for c in comps)
     critical = tuple(c for c in comps if c.minimum == d)
     rest = [c.minimum for c in comps if c.minimum > d]
     m2 = min(rest) if rest else None
-    flats = tuple(c for c in critical if c.flat_lengths)
+    flats = tuple(c for c in critical if c.f.flat_pieces_at_min())
     return ClassSetup(u, v, d, tuple(comps), critical, m2, flats)
 
 
@@ -420,7 +416,10 @@ def _witnesses(d: Fraction, alpha: Fraction, beta: Fraction, index: dict):
 
 
 class SpectrumAnalysis:
-    """Route dispatcher: flat shortcut with strip lines, bounded flat locus, or sectors."""
+    """One pass of the finite calculation: flat strips, the half-lines inside the strip,
+    then sector residue classes. route names the stage whose records the plane needs:
+    lines (one flat direction), finite (two flat directions pin the exceptional region
+    in a box) or sector (no flat component)."""
 
     def __init__(self, u: Vec, v: Vec):
         self.setup = class_setup(u, v)
@@ -428,21 +427,18 @@ class SpectrumAnalysis:
         self.flat_lines: list = []
         self.sector_records: dict = {}
         self.flat_form: tuple[int, int] | None = None
-        self.q_star: int | None = None
-        if s.flats:
-            forms = {orient(c.E, c.F) for c in s.flats}
-            if len(forms) > 1:
-                # two independent flat directions pin the exceptional region in a box
-                self.route = "finite"
-                return
+        forms = {orient(c.E, c.F) for c in s.flats}
+        if len(forms) > 1:
+            self.route = "finite"
+        elif forms:
             self.route = "lines"
-            E, F = forms.pop()
-            self.flat_form = (E, F)
-            self.q_star = min(math.ceil(1 / max(c.flat_lengths)) for c in s.flats)
+            E, F = self.flat_form = forms.pop()
+            # the strip |E*A + F*B| < q0 holds every pair no flat component settles
+            strip = min(s.table(c, 0).q0 for c in s.flats)
             g, x, y = gcd_ext(E, F)
             assert g == 1
             dirv = primitive_kernel(E, F)
-            for c in range(1, self.q_star):
+            for c in range(1, strip):
                 base = (x * c, y * c)
                 for dd in (dirv, (-dirv[0], -dirv[1])):
                     recs = halfline_analysis(s, base, dd)
@@ -455,22 +451,18 @@ class SpectrumAnalysis:
                     if math.gcd(math.gcd(aleph, beth), mp) != 1:
                         continue
                     self.sector_records[(aleph, beth)] = sector_decomposition(s, aleph, beth)
-
-    def raw_families(self) -> list[tuple[Fraction, Fraction]]:
-        """Unnormalized (alpha, beta) pairs from every family record."""
-        raw = []
-        if self.route == "lines":
-            for _, _, _, recs in self.flat_lines:
-                raw.extend((r.alpha, r.beta) for r in recs if r.outcome == "family")
-        elif self.route == "sector":
-            for recs in self.sector_records.values():
-                raw.extend((r.alpha, r.beta) for r in recs if r.kappa == 1)
-        return raw
+        line_recs = [r for *_, recs in self.flat_lines for r in recs]
+        sector_recs = [r for recs in self.sector_records.values() for r in recs]
+        # unnormalized (alpha, beta) of every family record
+        self.families = [(r.alpha, r.beta) for r in line_recs if r.outcome == "family"]
+        self.families += [(r.alpha, r.beta) for r in sector_recs if r.kappa == 1]
+        # a formula reaches d on a flat component's strip or on a kappa-0 sector
+        self.base_reachable = bool(s.flats) or any(r.kappa == 0 for r in sector_recs)
 
     def description(self, certify_bound: int = 200) -> SpectrumDescription:
         s = self.setup
         d = s.d_value
-        fams = sorted({(a, normalize_beta(a, b, d)) for a, b in self.raw_families()})
+        fams = sorted({(a, normalize_beta(a, b, d)) for a, b in self.families})
         fams = _absorb(fams)
         sweep = oracle_sweep(s.u, s.v, certify_bound)
         index = _value_index(sweep)
@@ -478,14 +470,7 @@ class SpectrumAnalysis:
         for a, b in fams:
             wit, unwit = _witnesses(d, a, b, index)
             progs.append(Progression(a, b, wit, unwit))
-        base_att = d in index
-        if not base_att:
-            if self.route == "sector":
-                base_att = any(
-                    r.kappa == 0 for recs in self.sector_records.values() for r in recs
-                )
-            else:
-                base_att = bool(s.flats)
+        base_att = d in index or self.base_reachable
         exceptional = [
             (val, min(index[val]))
             for val in sorted(index)
@@ -494,49 +479,35 @@ class SpectrumAnalysis:
         return SpectrumDescription(d, tuple(progs), base_att, tuple(exceptional), certify_bound)
 
     def predict(self, A: int, B: int) -> Fraction | None:
-        """Formula value of D at (A, B) when above every validity threshold, else None."""
+        """Formula value of D at (A, B) when above every validity threshold, else None:
+        a flat strip's base value, then the strip half-line record, then the sector record."""
         s = self.setup
         d = s.d_value
         if A < 0 or math.gcd(A, B) != 1:
             return None
         if any(A * a + B * b == 0 for a, b in zip(s.u, s.v)):
             return None
-        if self.route == "finite":
-            for c in s.flats:
-                q = c.q_of(A, B)
-                if q != 0 and abs(q) >= math.ceil(1 / max(c.flat_lengths)):
-                    return d
-            return None
-        if self.route == "lines":
+        for c in s.flats:
+            if abs(c.q_of(A, B)) >= s.table(c, 0).q0:
+                return d
+        if self.flat_lines:
             E, F = self.flat_form
             qf = E * A + F * B
-            if abs(qf) >= self.q_star:
-                return d
-            if qf == 0:
-                return None
-            pA, pB = (A, B) if qf > 0 else (-A, -B)
-            cval = abs(qf)
-            for c0, base, dd, recs in self.flat_lines:
-                if c0 != cval or not recs:
-                    continue
-                da, db = dd
-                t, rem = divmod(pA - base[0], da) if da else divmod(pB - base[1], db)
-                if rem != 0 or t < 0:
-                    continue
-                if (base[0] + t * da, base[1] + t * db) != (pA, pB):
-                    continue
-                mt = recs[0].modulus
-                rec = recs[t % mt]
-                sidx = t // mt
-                if rec.outcome == "hit":
-                    return d
-                if rec.outcome == "base" and sidx >= rec.s0:
+            if qf != 0:
+                # (sg*A, sg*B) - base lies in the kernel of (E, F), so it is t*dirv
+                sg = _sign(qf)
+                i = 2 * (abs(qf) - 1)
+                _, (bA, bB), (da, db), _ = self.flat_lines[i]
+                t = (sg * A - bA) // da if da else (sg * B - bB) // db
+                recs = self.flat_lines[i + (t < 0)][3]
+                sidx, res = divmod(abs(t), recs[0].modulus)
+                rec = recs[res]
+                if rec.outcome == "hit" or (rec.outcome == "base" and sidx >= rec.s0):
                     return d
                 if rec.outcome == "family" and sidx >= rec.s0:
                     return d + rec.gamma / (rec.slope * sidx + rec.const)
                 return None
-            return None
-        if A == 0:
+        if A == 0 or not self.sector_records:
             return None
         for c in s.critical:
             q = c.q_of(A, B)

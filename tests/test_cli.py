@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,14 @@ from pathlib import Path
 import pytest
 
 import lonely_runner
-from goldens import FINITE_THREE_TENTHS, SECTOR_QUARTER, STRIP_QUARTER, TENTH_PLANES
+from goldens import (
+    FINITE_THREE_TENTHS,
+    SECTOR_QUARTER,
+    STRIP_QUARTER,
+    STRIP_TENTH_A,
+    STRIP_TENTH_B,
+    TENTH_PLANES,
+)
 from lonely_runner.cli import (
     ParseError,
     format_basis,
@@ -120,6 +128,13 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     path = tmp_path / "empty_box.json"
     path.write_text(json.dumps(empty_box))
     assert run(capsys, "certify", "--basis", U2_BASIS, "--against", str(path))[0] == 2
+    # --against prints text only, so another format is refused before the file is read
+    for fmt in ("json", "csv"):
+        code, out, err = run(
+            capsys, "certify", "--basis", U2_BASIS, "--against", str(path), "--format", fmt
+        )
+        assert (code, out) == (2, ""), fmt
+        assert "--against prints text only" in err, fmt
 
 
 def test_parse_error_process_exits_2_without_traceback():
@@ -189,6 +204,39 @@ def test_spectrum_json_deterministic(capsys):
     assert payload["certified_bound"] == 80
     assert [(p["alpha"], p["beta"]) for p in payload["progressions"]] == [("8", "12")]
     assert payload["exceptional_values"] == []
+
+
+def test_spectrum_past_box_budget_exit_3(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(
+        capsys, "spectrum", "--basis", format_basis(*STRIP_TENTH_A), "--bound", "1000000"
+    )
+    assert time.perf_counter() - t0 < 5
+    assert code == 3
+    assert "sweep box" in json.loads(out)["error"]
+
+
+# sha256 of `spectrum --bound 20 --format json` on the planes whose records come from
+# strip half-lines or the finite box; re-recording one needs a reason in CHANGES.md
+SPECTRUM_DIGESTS = [
+    (STRIP_QUARTER, "366f88876387e97b02ca611d343464efb6025eb6026414e1261c03e595bb33e3"),
+    (STRIP_TENTH_A, "bf0f1b0170283e8a4d0e876596986cbb54201d1b7d4ce81c2b53192ce9f66d0d"),
+    (STRIP_TENTH_B, "6a7bc17453f6e396c3223bf5a2917345193aa8cdff1506cd49a2e12cba976083"),
+    (FINITE_THREE_TENTHS, "2c68542c4e3ffcf6b965c38f27c806bc60cc50b3f99750c426a16dd76437a35b"),
+]
+
+
+@pytest.mark.parametrize(
+    "plane, digest",
+    SPECTRUM_DIGESTS,
+    ids=["strip-quarter", "strip-tenth-a", "strip-tenth-b", "finite-three-tenths"],
+)
+def test_spectrum_json_golden_digest(capsys, plane, digest):
+    code, out, _ = run(
+        capsys, "spectrum", "--basis", format_basis(*plane), "--bound", "20", "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 def test_spectrum_text(capsys):
