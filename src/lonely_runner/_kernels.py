@@ -11,9 +11,10 @@ import numpy as np
 # keeps every int64 product inside the numba and numpy scans overflow-safe
 MAX_ABS = 500_000_000
 
-# most k-steps, d // 2 for each scanned modulus d, that one line's scan may take: over
-# 100x the most any line of the test suite or benchmark takes (9,970), and small enough
-# that the numpy scan's (d // 2) x n arrays stay in memory and a python scan ends in seconds
+# most steps one line of n speeds may take, n * (n - 1) for its pair moduli and (d // 2) * n
+# for each scanned modulus d: 14x the most any line of the test suite takes (69,832, on 7
+# speeds) and 196x the benchmark's (5,082), and small enough that the numpy scan's
+# (d // 2) x n arrays stay in memory and a python scan ends in seconds
 WORK_BUDGET = 1_000_000
 
 # most (A, B) points one sweep box may hold, so bound <= 999: 11x the largest box of the
@@ -31,8 +32,9 @@ except ImportError:  # pragma: no cover
 
 class UnsupportedRequest(ValueError):
     """A request the package declines: no tight-instance catalog data for the dimension
-    and distance, a line whose oracle scan would pass WORK_BUDGET steps, or a sweep box
-    of more than BOX_BUDGET points."""
+    and distance, an enumeration past catalog.CANDIDATE_BUDGET candidate bases, a slice
+    whose restrictions would pass slices.RESTRICTION_BUDGET steps, a line whose oracle
+    scan would pass WORK_BUDGET steps, or a sweep box of more than BOX_BUDGET points."""
 
 
 def backend() -> str:
@@ -49,12 +51,7 @@ def backend() -> str:
 
 def dedup_speeds(w) -> list[int]:
     """Absolute values of w with duplicates removed, first occurrence kept."""
-    out: list[int] = []
-    for c in w:
-        a = abs(c)
-        if a not in out:
-            out.append(a)
-    return out
+    return list(dict.fromkeys(map(abs, w)))
 
 
 def _pair_moduli(w: list[int]) -> list[int]:
@@ -68,14 +65,16 @@ def _pair_moduli(w: list[int]) -> list[int]:
 
 
 def _scan(w, mods):
-    """Unreduced (num, den) of the line minimum, or (-1, 0) once the k-scans pass
-    WORK_BUDGET steps; w positive deduplicated speeds (len >= 2), mods their distinct
-    nonzero pairwise sums and differences in increasing order.
+    """Unreduced (num, den) of the line minimum, or (-1, 0) once the work passes
+    WORK_BUDGET steps: n * (n - 1) for the pair moduli, then (d // 2) * n for each
+    scanned modulus d; w positive deduplicated speeds (n = len(w) >= 2), mods their
+    distinct nonzero pairwise sums and differences in increasing order.
 
     Written in numba's nopython subset: the numba backend compiles this function.
     """
+    n = len(w)
     best_n, best_d = 1, 2
-    steps = 0
+    steps = n * (n - 1)
     for d in mods:
         if best_n == 0:
             break
@@ -83,7 +82,7 @@ def _scan(w, mods):
             continue
         if d % 2 == 1 and best_d >= 2 * d * best_n:
             continue
-        steps += d // 2
+        steps += (d // 2) * n
         if steps > WORK_BUDGET:
             return -1, 0
         for k in range(1, d // 2 + 1):
@@ -108,8 +107,9 @@ def _scan(w, mods):
 def _scan_numpy(w, mods):
     """Same contract as _scan, vectorized over k; it beats the python scan on large moduli."""
     arr = np.asarray(w, dtype=np.int64)
+    n = len(w)
     best_n, best_d = 1, 2
-    steps = 0
+    steps = n * (n - 1)
     for d in mods:
         if best_n == 0:
             break
@@ -117,7 +117,7 @@ def _scan_numpy(w, mods):
             continue
         if d % 2 == 1 and best_d >= 2 * d * best_n:
             continue
-        steps += d // 2
+        steps += (d // 2) * n
         if steps > WORK_BUDGET:
             return -1, 0
         ks = np.arange(1, d // 2 + 1, dtype=np.int64)
@@ -147,8 +147,10 @@ def _scan_for(scale: int):
 
 
 def _d_line(scan, w: list[int]) -> tuple[int, int]:
-    """Run a scan on w, refusing a line that would pass WORK_BUDGET steps."""
-    num, den = scan(w, _pair_moduli(w))
+    """Run a scan on w, refusing a line that would pass WORK_BUDGET steps; a line whose
+    pair moduli alone would pass it is refused before they are built."""
+    n = len(w)
+    num, den = scan(w, _pair_moduli(w)) if n * (n - 1) <= WORK_BUDGET else (-1, 0)
     if den == 0:
         raise UnsupportedRequest(f"line oracle needs more than {WORK_BUDGET} scan steps")
     return int(num), int(den)
@@ -159,17 +161,18 @@ def d_line_raw(w: list[int]) -> tuple[int, int]:
     return _d_line(_scan_for(max(w)), w)
 
 
-def sweep_raw(u: tuple[int, ...], v: tuple[int, ...], bound: int) -> list[tuple[int, int, int, int]]:
-    """Rows (A, B, num, den) over the parameter box; den = 0 marks an improper line."""
+def sweep_raw(
+    u: tuple[int, ...], v: tuple[int, ...], bound: int, *, inner: int = 0
+) -> list[tuple[int, int, int, int]]:
+    """Rows (A, B, num, den) over the parameter box, skipping every pair with
+    max(A, |B|) <= inner; den = 0 marks an improper line."""
     if (bound + 1) * (2 * bound + 1) > BOX_BUDGET:
         raise UnsupportedRequest(f"sweep box of bound {bound} holds more than {BOX_BUDGET} points")
     scan = _scan_for(bound * max(abs(a) + abs(b) for a, b in zip(u, v)))
     out = []
     for A in range(bound + 1):
         for B in range(-bound, bound + 1):
-            if A == 0 and B <= 0:
-                continue
-            if math.gcd(A, B) != 1:
+            if (A == 0 and B <= 0) or max(A, abs(B)) <= inner or math.gcd(A, B) != 1:
                 continue
             w = [A * a + B * b for a, b in zip(u, v)]
             if any(c == 0 for c in w):

@@ -11,6 +11,11 @@ from .torus import canonicalize_symmetry, d_plane
 
 Vec = tuple[int, ...]
 
+# most candidate bases one enumeration may build: 1,200 at n = 3, d = 1/14 (1.3 s on a
+# 2-vCPU VM), and 3,280 at 1/18 (3.8 s), the largest it keeps, against 7,320 at 1/22 (12 s)
+# and 48,029,800 at 1/200; every enumeration must fit before its first candidate is built
+CANDIDATE_BUDGET = 4_000
+
 
 def _tied(p: int, rest_u: Vec, q: int, rest_v: Vec) -> tuple[Vec, Vec]:
     """Basis with tied leading pair: (p, p, *rest_u) and (q, -q, *rest_v)."""
@@ -111,6 +116,12 @@ def _enumerate_cached(n: int, d: Fraction) -> tuple:
     if n == 2:
         return ()
     if n == 3:
+        # tight_pairs(d) holds r pairs for each r <= r_max, and from its p pairs
+        # _candidates_dim3 builds 4p tied first generators times 8p second ones, plus 8p
+        r_max = max(0, math.floor((1 / d - 2) / 4))
+        p = r_max * (r_max + 1) // 2
+        if 32 * p * p + 8 * p > CANDIDATE_BUDGET:
+            raise UnsupportedRequest(f"enumeration needs more than {CANDIDATE_BUDGET} candidate bases")
         cands = _candidates_dim3(tight_pairs(d)) if d < Fraction(1, 2) else []
     elif n == 4 and d == Fraction(1, 4):
         cands = _candidates_dim4()
@@ -126,6 +137,8 @@ def _enumerate_cached(n: int, d: Fraction) -> tuple:
         try:
             if d_plane(u, v) == d:
                 out.append((u, v))
+        except UnsupportedRequest:
+            raise
         except ValueError:
             continue
     return tuple(out)

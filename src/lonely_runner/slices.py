@@ -5,8 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._kernels import UnsupportedRequest
 from .exact import Vec, complete_to_basis, plane_coords, primitive_kernel, saturate_plane
 from .pwl import CirclePWL, build_restriction
+
+# most sample steps one slice's restrictions may take to build: 40x the largest slice of
+# the test suite and the benchmark (488, on FINITE_THREE_TENTHS); the plane 1000,1,2;0,1,1
+# (12,006 steps, 1.5 s on a 2-vCPU VM) stays in, and 10000,1,2;0,1,1 (120,006, 16 s) is refused
+RESTRICTION_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,11 @@ def slice_structure(u: Vec, v: Vec, i: int, j: int, eps: int) -> SliceStructure:
     v_prime = complete_to_basis(u_prime, (u, v))
     K = abs(v_prime[i] - eps * v_prime[j])
     assert K >= 1
+    # build_restriction steps |d| times for each event c + t*d: 2*|u'_k| for each coordinate
+    # and |u'_a + u'_b| + |u'_a - u'_b| = 2*max(|u'_a|, |u'_b|) for each pair of them
+    steps = 2 * sum((k + 1) * c for k, c in enumerate(sorted(abs(c) for c in u_prime)))
+    if steps * (K // 2 + 1) > RESTRICTION_BUDGET:
+        raise UnsupportedRequest(f"slice restrictions need more than {RESTRICTION_BUDGET} steps")
     z1, z2 = plane_coords(u, u_prime, v_prime)
     z3, z4 = plane_coords(v, u_prime, v_prime)
     if abs(z1 * z4 - z2 * z3) != 1:

@@ -114,7 +114,7 @@ def canonicalize_symmetry(u: Vec, v: Vec) -> tuple[Vec, Vec]:
     return best
 
 
-_SWEEP_CACHE: dict = {}
+_SWEEP_CACHE: dict = {}  # (u, v) -> (largest bound swept, its values)
 
 
 def oracle_sweep(
@@ -123,15 +123,16 @@ def oracle_sweep(
     """Map (A, B) over the coprime parameter box to D of the line through A*u + B*v.
 
     A in [0, bound], |B| <= bound, gcd(A, B) = 1, excluding (0, 0) and (0, -1);
-    None marks an improper line. Results are cached per (u, v, bound, backend)
-    and returned as a read-only view of the cache entry.
+    None marks an improper line. Each plane keeps one cache entry, its largest box
+    swept so far: a smaller box is filtered from it, and a larger one sweeps only the
+    new shell. The read-only view returned holds exactly the requested box.
     """
-    key = (u, v, bound, _kernels.backend())
-    if key in _SWEEP_CACHE:
-        return _SWEEP_CACHE[key]
-    rows = _kernels.sweep_raw(u, v, bound)
-    out: dict[tuple[int, int], Fraction | None] = {}
-    for A, B, num, den in rows:
-        out[(A, B)] = None if den == 0 else Fraction(num, den)
-    _SWEEP_CACHE[key] = MappingProxyType(out)
-    return _SWEEP_CACHE[key]
+    swept, values = _SWEEP_CACHE.get((u, v), (0, {}))
+    if bound > swept:
+        rows = _kernels.sweep_raw(u, v, bound, inner=swept)
+        values = dict(values)  # a new dict: views of the smaller box keep their contents
+        values.update(((A, B), None if den == 0 else Fraction(num, den)) for A, B, num, den in rows)
+        _SWEEP_CACHE[(u, v)] = bound, values
+    elif bound < swept:
+        values = {k: x for k, x in values.items() if max(k[0], abs(k[1])) <= bound}
+    return MappingProxyType(values)

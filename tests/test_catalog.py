@@ -14,6 +14,8 @@ from goldens import (
     STRIP_TENTH_B,
     TENTH_PLANES,
 )
+from lonely_runner import catalog, slices
+from lonely_runner._kernels import UnsupportedRequest
 from lonely_runner.catalog import enumerate_2d_subtori, tight_pairs
 from lonely_runner.torus import canonicalize_symmetry, d_plane, d_two_speeds, plane_proper
 
@@ -88,6 +90,26 @@ def test_enumerate_trivial_and_unsupported():
             enumerate_2d_subtori(n, d)
     with pytest.raises(ValueError):
         enumerate_2d_subtori(3, Fr(-1, 10))
+
+
+def test_enumerate_candidate_budget_is_exact(monkeypatch):
+    # the count is taken before any candidate is built and equals the number built
+    d = Fr(1, 10)
+    built = len(catalog._candidates_dim3(tight_pairs(d)))
+    catalog._enumerate_cached.cache_clear()
+    monkeypatch.setattr(catalog, "CANDIDATE_BUDGET", built - 1)
+    with pytest.raises(UnsupportedRequest, match="candidate bases"):
+        enumerate_2d_subtori(3, d)
+    monkeypatch.setattr(catalog, "CANDIDATE_BUDGET", built)
+    assert len(enumerate_2d_subtori(3, d)) == 4
+
+
+def test_enumerate_passes_refusals_through(monkeypatch):
+    # a refused candidate plane refuses the enumeration instead of dropping the candidate
+    catalog._enumerate_cached.cache_clear()
+    monkeypatch.setattr(slices, "RESTRICTION_BUDGET", 0)
+    with pytest.raises(UnsupportedRequest, match="slice restrictions"):
+        enumerate_2d_subtori(3, Fr(1, 7))
 
 
 def test_enumerate_outputs_are_canonical_and_exact():

@@ -21,6 +21,7 @@ from goldens import (
     STRIP_TENTH_B,
     TENTH_PLANES,
 )
+from lonely_runner import torus
 from lonely_runner.cli import (
     ParseError,
     format_basis,
@@ -72,6 +73,25 @@ def test_d_vector_past_work_budget_exit_3(capsys):
     assert time.perf_counter() - t0 < 1
     assert code == 3
     assert "scan steps" in json.loads(out)["error"]
+
+
+def test_d_vector_many_speeds_exit_3(capsys):
+    # refused from the speed count alone, before the pair moduli are built
+    for n in (2000, 6000):
+        t0 = time.perf_counter()
+        speeds = ",".join(map(str, range(1, n + 1)))
+        code, out, _ = run(capsys, "d", "--vector", speeds, "--format", "json")
+        assert time.perf_counter() - t0 < 2, n
+        assert code == 3, n
+        assert "scan steps" in json.loads(out)["error"], n
+
+
+def test_d_basis_past_restriction_budget_exit_3(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "d", "--basis", "10000,1,2;0,1,1", "--format", "json")
+    assert time.perf_counter() - t0 < 2
+    assert code == 3
+    assert "slice restrictions" in json.loads(out)["error"]
 
 
 def test_d_basis(capsys):
@@ -193,6 +213,14 @@ def test_enumerate_unsupported_exit_3(capsys):
     assert "tight-instance data unavailable" in err
 
 
+def test_enumerate_past_candidate_budget_exit_3(capsys):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "enumerate", "--n", "3", "--d", "1/200")
+    assert time.perf_counter() - t0 < 1
+    assert code == 3
+    assert "candidate bases" in err
+
+
 def test_spectrum_json_deterministic(capsys):
     first = run(capsys, "spectrum", "--basis", U2_BASIS, "--bound", "80")
     second = run(capsys, "spectrum", "--basis", U2_BASIS, "--bound", "80")
@@ -215,6 +243,21 @@ def test_spectrum_past_box_budget_exit_3(capsys):
     assert code == 3
     assert "sweep box" in json.loads(out)["error"]
 
+
+def test_outputs_do_not_depend_on_the_sweep_cache(capsys, monkeypatch):
+    # the second and third commands are served from and grow the first one's entry
+    basis = format_basis(*STRIP_TENTH_A)
+    commands = [
+        ("spectrum", "--bound", "20"),
+        ("certify", "--bound", "12", "--format", "csv"),
+        ("certify", "--bound", "25", "--format", "json"),
+    ]
+    monkeypatch.setattr(torus, "_SWEEP_CACHE", {})
+    warm = [run(capsys, cmd, "--basis", basis, *rest) for cmd, *rest in commands]
+    for (cmd, *rest), out in zip(commands, warm):
+        torus._SWEEP_CACHE.clear()
+        assert run(capsys, cmd, "--basis", basis, *rest) == out, cmd
+        assert out[0] == 0, cmd
 
 # sha256 of `spectrum --bound 20 --format json` on the planes whose records come from
 # strip half-lines or the finite box; re-recording one needs a reason in CHANGES.md

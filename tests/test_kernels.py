@@ -56,12 +56,13 @@ def test_big_entries_fall_back_to_python(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["python", "numpy"])
 def test_work_budget_counted_per_scanned_modulus(monkeypatch, mode):
-    # [1, 2, 3, 4] scans the moduli 2..7 in full: 1 + 1 + 2 + 2 + 3 + 3 = 12 steps
+    # [1, 2, 3, 4] takes 4 * 3 = 12 steps for its pair moduli, then scans the moduli 2..7
+    # in full, (1 + 1 + 2 + 2 + 3 + 3) * 4 = 48 steps: 60 in all
     monkeypatch.setenv("LONELY_RUNNER_KERNEL", mode)
-    monkeypatch.setattr(_kernels, "WORK_BUDGET", 11)
+    monkeypatch.setattr(_kernels, "WORK_BUDGET", 59)
     with pytest.raises(_kernels.UnsupportedRequest, match="scan steps"):
         _kernels.d_line_raw([1, 2, 3, 4])
-    monkeypatch.setattr(_kernels, "WORK_BUDGET", 12)
+    monkeypatch.setattr(_kernels, "WORK_BUDGET", 60)
     assert _kernels.d_line_raw([1, 2, 3, 4]) == (3, 10)
 
 

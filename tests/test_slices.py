@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from goldens import FINITE_THREE_TENTHS
+from lonely_runner import slices
+from lonely_runner._kernels import UnsupportedRequest
 from lonely_runner.exact import minors2, saturate_plane
 from lonely_runner.slices import slice_structure
 
@@ -181,3 +184,14 @@ def test_restrictions_match_distance_along_components():
             else:
                 got = s.restrictions[s.K - ell].evaluate(-t)
             assert got == max(dist_to_half(c) for c in pt)
+
+
+def test_restriction_budget_counts_every_sample_step(monkeypatch):
+    # u' = (2, 4, 6, -6, -5, -10, -15) and K = 1: the sorted |u'| are 2, 4, 5, 6, 6, 10, 15,
+    # so 2 * (1*2 + 2*4 + 3*5 + 4*6 + 5*6 + 6*10 + 7*15) = 488 steps
+    u, v = FINITE_THREE_TENTHS
+    monkeypatch.setattr(slices, "RESTRICTION_BUDGET", 487)
+    with pytest.raises(UnsupportedRequest, match="slice restrictions"):
+        slice_structure(u, v, 2, 3, -1)
+    monkeypatch.setattr(slices, "RESTRICTION_BUDGET", 488)
+    assert len(slice_structure(u, v, 2, 3, -1).restrictions) == 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lonely_runner import _kernels
+from lonely_runner import _kernels, torus
 from lonely_runner.exact import saturate_plane
 from lonely_runner.torus import (
     canonicalize_symmetry,
@@ -203,3 +203,35 @@ def test_oracle_sweep_is_read_only():
     with pytest.raises(TypeError):
         sweep[(1, 0)] = F(9, 20)
     assert dict(oracle_sweep(u, v, 10)) == before
+
+
+def test_oracle_sweep_one_entry_per_plane(monkeypatch):
+    u, v = (1, 0, 1, 1), (1, 1, 0, 2)
+    cold = _kernels.sweep_raw
+    calls = []
+
+    def counting(u, v, bound, *, inner=0):
+        rows = cold(u, v, bound, inner=inner)
+        calls.append((bound, inner, len(rows)))
+        return rows
+
+    def cold_box(bound):
+        return {(A, B): None if den == 0 else F(num, den) for A, B, num, den in cold(u, v, bound)}
+
+    monkeypatch.setattr(torus, "_SWEEP_CACHE", {})
+    monkeypatch.setattr(_kernels, "sweep_raw", counting)
+    views = {}
+    for bound in (12, 8, 16, 8):
+        views.setdefault(bound, []).append(oracle_sweep(u, v, bound))
+    # the second sweep computes only the shell between the boxes of bound 12 and 16
+    assert calls == [(12, 0, len(cold_box(12))), (16, 12, len(cold_box(16)) - len(cold_box(12)))]
+    for bound, seen in views.items():
+        for view in seen:
+            assert dict(view) == cold_box(bound), bound
+    assert list(torus._SWEEP_CACHE) == [(u, v)]
+    # a refused sweep leaves the entry as it was
+    entry = torus._SWEEP_CACHE[(u, v)]
+    monkeypatch.setattr(_kernels, "BOX_BUDGET", 100)
+    with pytest.raises(_kernels.UnsupportedRequest):
+        oracle_sweep(u, v, 20)
+    assert torus._SWEEP_CACHE[(u, v)] is entry
