@@ -1,4 +1,8 @@
-"""Benchmark the box-sweep kernel across backends and check they agree."""
+"""Benchmark the box-sweep kernel across backends and check they agree.
+
+Besides each backend, the numpy backend runs twice more with _kernels.ROW_CUTOFF set
+so that every row is looped (numpy-loop) and every row is vectorized (numpy-vector);
+comparing those two with numpy at the chosen cutoff measures the cutoff again."""
 
 import argparse
 import json
@@ -8,6 +12,7 @@ import time
 
 import numpy
 
+from lonely_runner import _kernels
 from lonely_runner._kernels import HAVE_NUMBA, backend, sweep_raw
 
 PLANES = {
@@ -18,8 +23,9 @@ PLANES = {
 }
 
 
-def run_backend(mode, u, v, bound, repeats):
+def run_backend(mode, cutoff, u, v, bound, repeats):
     os.environ["LONELY_RUNNER_KERNEL"] = mode
+    _kernels.ROW_CUTOFF = cutoff
     sweep_raw(u, v, 5)  # warm up; the numba path compiles here
     best = None
     rows = None
@@ -36,15 +42,28 @@ def main():
     ap.add_argument("--plane", choices=sorted(PLANES), default="sector-third")
     ap.add_argument("--bound", type=int, default=150)
     ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--cutoff", type=int, default=_kernels.ROW_CUTOFF,
+                    help="ROW_CUTOFF of the numpy run (default: the package's)")
     args = ap.parse_args()
     u, v = PLANES[args.plane]
-    modes = ["python", "numpy"] + (["numba"] if HAVE_NUMBA else [])
+    cutoff = args.cutoff
+    # label -> (backend, ROW_CUTOFF)
+    runs = {
+        "python": ("python", cutoff),
+        "numpy": ("numpy", cutoff),
+        "numpy-loop": ("numpy", 10**18),
+        "numpy-vector": ("numpy", 0),
+    }
+    if HAVE_NUMBA:
+        runs["numba"] = ("numba", cutoff)
+    modes = list(runs)
     env = {
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
         "numba_importable": HAVE_NUMBA,
         "kernel_backend": backend(),
         "nproc": os.cpu_count(),
+        "row_cutoff": cutoff,
     }
     print("env " + json.dumps(env, sort_keys=True))
     if not HAVE_NUMBA:
@@ -54,20 +73,21 @@ def main():
     reference = None
     try:
         for mode in modes:
-            best, rows = run_backend(mode, u, v, args.bound, args.repeats)
+            best, rows = run_backend(*runs[mode], u, v, args.bound, args.repeats)
             if reference is None:
                 reference = rows
             if rows != reference:
-                print(f"{mode:>7}: rows disagree with the {modes[0]} backend")
+                print(f"{mode:>12}: rows disagree with the {modes[0]} backend")
                 return 1
             times[mode] = best
             rate = len(rows) / best
-            print(f"{mode:>7}: {best:8.3f} s  {len(rows)} rows  {rate:12.0f} rows/s")
+            print(f"{mode:>12}: {best:8.3f} s  {len(rows)} rows  {rate:12.0f} rows/s")
     finally:
         if saved is None:
             os.environ.pop("LONELY_RUNNER_KERNEL", None)
         else:
             os.environ["LONELY_RUNNER_KERNEL"] = saved
+    print(f"all {len(modes)} runs agree row for row")
     base = times[modes[0]]
     for mode in modes[1:]:
         print(f"{mode} speedup over {modes[0]}: {base / times[mode]:.1f}x")

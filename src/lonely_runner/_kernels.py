@@ -1,5 +1,5 @@
-"""Brute-force line-minimum kernels: one scalar scan, run as python or compiled by numba,
-and a numpy scan vectorized over the sample index."""
+"""Brute-force line-minimum kernels: one modulus loop whose rows run as a scalar loop,
+in python or compiled by numba, or vectorized over the sample index by numpy."""
 
 from __future__ import annotations
 
@@ -8,12 +8,18 @@ import os
 
 import numpy as np
 
-# keeps every int64 product inside the numba and numpy scans overflow-safe
+# keeps every int64 product inside the numba and numpy rows overflow-safe
 MAX_ABS = 500_000_000
+
+# under the numpy backend a row of more than this many (d // 2) * n steps is vectorized and a
+# smaller one loops, where numpy's per-call overhead costs more; on the benchmark's nine largest
+# sweeps (2-vCPU VM, best of 6) cutoffs 100-200 took 4.1 s, 0 (every row vectorized) 4.7 s and
+# every row looped 4.9 s; benchmarks/bench_oracle.py --cutoff measures it again
+ROW_CUTOFF = 200
 
 # most steps one line of n speeds may take, n * (n - 1) for its pair moduli and (d // 2) * n
 # for each scanned modulus d: 14x the most any line of the test suite takes (69,832, on 7
-# speeds) and 196x the benchmark's (5,082), and small enough that the numpy scan's
+# speeds) and 196x the benchmark's (5,082), and small enough that the numpy row's
 # (d // 2) x n arrays stay in memory and a python scan ends in seconds
 WORK_BUDGET = 1_000_000
 
@@ -34,7 +40,8 @@ class UnsupportedRequest(ValueError):
     """A request the package declines: no tight-instance catalog data for the dimension
     and distance, an enumeration past catalog.CANDIDATE_BUDGET candidate bases, a slice
     whose restrictions would pass slices.RESTRICTION_BUDGET steps, a line whose oracle
-    scan would pass WORK_BUDGET steps, or a sweep box of more than BOX_BUDGET points."""
+    scan would pass WORK_BUDGET steps, a sweep box of more than BOX_BUDGET points, or a
+    gamma table whose self-check would pass pwl.SELFCHECK_BUDGET grid points."""
 
 
 def backend() -> str:
@@ -64,101 +71,88 @@ def _pair_moduli(w: list[int]) -> list[int]:
     return sorted(mods)
 
 
-def _scan(w, mods):
-    """Unreduced (num, den) of the line minimum, or (-1, 0) once the work passes
-    WORK_BUDGET steps: n * (n - 1) for the pair moduli, then (d // 2) * n for each
-    scanned modulus d; w positive deduplicated speeds (n = len(w) >= 2), mods their
-    distinct nonzero pairwise sums and differences in increasing order.
+def _row(w, d, best_n, best_d):
+    """Best (num, den) after the row of modulus d: (num, 2 * d) if the least num over
+    k = 1..d//2 of max_m |2 * (k * w_m % d) - d| puts num / (2 * d) below best_n / best_d,
+    else (best_n, best_d).
 
     Written in numba's nopython subset: the numba backend compiles this function.
     """
-    n = len(w)
-    best_n, best_d = 1, 2
-    steps = n * (n - 1)
-    for d in mods:
-        if best_n == 0:
-            break
-        if d < 2:
-            continue
-        if d % 2 == 1 and best_d >= 2 * d * best_n:
-            continue
-        steps += (d // 2) * n
-        if steps > WORK_BUDGET:
-            return -1, 0
-        for k in range(1, d // 2 + 1):
-            num = 0
-            full = True
-            for wm in w:
-                v = 2 * ((k * wm) % d) - d
-                if v < 0:
-                    v = -v
-                if v > num:
-                    num = v
-                    if num * best_d >= 2 * d * best_n:
-                        full = False
-                        break
-            if full:
-                best_n, best_d = num, 2 * d
-                if best_n == 0:
+    for k in range(1, d // 2 + 1):
+        num = 0
+        full = True
+        for wm in w:
+            v = 2 * ((k * wm) % d) - d
+            if v < 0:
+                v = -v
+            if v > num:
+                num = v
+                if num * best_d >= 2 * d * best_n:
+                    full = False
                     break
+        if full:
+            best_n, best_d = num, 2 * d
+            if best_n == 0:
+                break
     return best_n, best_d
 
 
-def _scan_numpy(w, mods):
-    """Same contract as _scan, vectorized over k; it beats the python scan on large moduli."""
-    arr = np.asarray(w, dtype=np.int64)
-    n = len(w)
-    best_n, best_d = 1, 2
-    steps = n * (n - 1)
-    for d in mods:
-        if best_n == 0:
-            break
-        if d < 2:
-            continue
-        if d % 2 == 1 and best_d >= 2 * d * best_n:
-            continue
-        steps += (d // 2) * n
-        if steps > WORK_BUDGET:
-            return -1, 0
-        ks = np.arange(1, d // 2 + 1, dtype=np.int64)
-        r = (ks[:, None] * arr[None, :]) % d
-        nums = np.abs(2 * r - d).max(axis=1)
-        cand = int(nums.min())
-        if cand * best_d < 2 * d * best_n:
-            best_n, best_d = cand, 2 * d
-    return best_n, best_d
+def _row_numpy(w, d, best_n, best_d):
+    """_row vectorized over k."""
+    ks = np.arange(1, d // 2 + 1, dtype=np.int64)
+    r = (ks[:, None] * np.asarray(w, dtype=np.int64)[None, :]) % d
+    cand = int(np.abs(2 * r - d).max(axis=1).min())
+    return (cand, 2 * d) if cand * best_d < 2 * d * best_n else (best_n, best_d)
 
 
 if HAVE_NUMBA:  # pragma: no cover
-    _scan_jit = njit(cache=True)(_scan)
+    _row_jit = njit(cache=True)(_row)
 
 
-def _scan_numba(w, mods):  # pragma: no cover - needs numba
-    return _scan_jit(np.asarray(w, dtype=np.int64), np.asarray(mods, dtype=np.int64))
+def _row_numba(w, d, best_n, best_d):  # pragma: no cover - needs numba
+    return _row_jit(np.asarray(w, dtype=np.int64), d, best_n, best_d)
 
 
-_SCANS = {"python": _scan, "numpy": _scan_numpy, "numba": _scan_numba}
-
-
-def _scan_for(scale: int):
-    """The active backend's scan, or the python scan where int64 could overflow."""
+def _rows_for(scale: int):
+    """(fast, cutoff): a row of more than cutoff steps runs as fast, the rest as _row.
+    numba compiles every row, numpy vectorizes those past ROW_CUTOFF, and python loops
+    them all, as every backend does where int64 could overflow."""
     mode = backend()
-    return _SCANS["python" if scale > MAX_ABS else mode]
+    if mode == "python" or scale > MAX_ABS:
+        return _row, 0
+    if mode == "numpy":
+        return _row_numpy, ROW_CUTOFF
+    return _row_numba, 0  # pragma: no cover - needs numba
 
 
-def _d_line(scan, w: list[int]) -> tuple[int, int]:
-    """Run a scan on w, refusing a line that would pass WORK_BUDGET steps; a line whose
-    pair moduli alone would pass it is refused before they are built."""
+def _d_line(rows, w: list[int]) -> tuple[int, int]:
+    """Unreduced (num, den) of the line minimum of w, positive deduplicated speeds
+    (n = len(w) >= 2), scanning each distinct nonzero pairwise sum and difference d
+    in increasing order. The work counts n * (n - 1) steps for the pair moduli, then
+    (d // 2) * n for each scanned modulus d; a line that would pass WORK_BUDGET is
+    refused, before its pair moduli are built if they alone would pass it."""
+    fast, cutoff = rows
     n = len(w)
-    num, den = scan(w, _pair_moduli(w)) if n * (n - 1) <= WORK_BUDGET else (-1, 0)
-    if den == 0:
+    steps = n * (n - 1)
+    best_n, best_d = 1, 2
+    for d in _pair_moduli(w) if steps <= WORK_BUDGET else ():
+        if best_n == 0:
+            break
+        if d < 2 or (d % 2 == 1 and best_d >= 2 * d * best_n):
+            continue
+        size = (d // 2) * n
+        steps += size
+        if steps > WORK_BUDGET:
+            break
+        best_n, best_d = (fast if size > cutoff else _row)(w, d, best_n, best_d)
+    if steps > WORK_BUDGET:
         raise UnsupportedRequest(f"line oracle needs more than {WORK_BUDGET} scan steps")
-    return int(num), int(den)
+    return int(best_n), int(best_d)
 
 
 def d_line_raw(w: list[int]) -> tuple[int, int]:
     """Dispatch the per-line kernel; w positive deduplicated speeds, len >= 2."""
-    return _d_line(_scan_for(max(w)), w)
+    return _d_line(_rows_for(max(w)), w)
 
 
 def sweep_raw(
@@ -168,7 +162,7 @@ def sweep_raw(
     max(A, |B|) <= inner; den = 0 marks an improper line."""
     if (bound + 1) * (2 * bound + 1) > BOX_BUDGET:
         raise UnsupportedRequest(f"sweep box of bound {bound} holds more than {BOX_BUDGET} points")
-    scan = _scan_for(bound * max(abs(a) + abs(b) for a, b in zip(u, v)))
+    rows = _rows_for(bound * max(abs(a) + abs(b) for a, b in zip(u, v)))
     out = []
     for A in range(bound + 1):
         for B in range(-bound, bound + 1):
@@ -182,5 +176,5 @@ def sweep_raw(
             if len(wd) == 1:
                 out.append((A, B, 0, 1))
             else:
-                out.append((A, B, *_d_line(scan, wd)))
+                out.append((A, B, *_d_line(rows, wd)))
     return out

@@ -65,13 +65,18 @@ def saturate_plane(u: Vec, v: Vec) -> tuple[Vec, Vec]:
     m = math.gcd(*minors2(u1, v))
     if m == 1:
         return u1, tuple(v)
-    for t in range(m):
-        shifted = [v[k] + t * u1[k] for k in range(len(v))]
-        if all(c % m == 0 for c in shifted):
-            v1 = tuple(c // m for c in shifted)
-            assert math.gcd(*minors2(u1, v1)) == 1
-            return u1, v1
-    raise RuntimeError("saturation shift search failed")
+    # the minors vanish mod m and u1 is primitive, so v = c * u1 mod m; with
+    # sum x_k * u1_k = 1 that c is sum x_k * v_k, and v - c * u1 is the unique shift
+    g, x = 0, []
+    for c in u1:
+        g, a, b = gcd_ext(g, c)
+        x = [a * xk for xk in x] + [b]
+    t = -sum(xk * vk for xk, vk in zip(x, v)) % m
+    shifted = [v[k] + t * u1[k] for k in range(len(v))]
+    assert g == 1 and all(c % m == 0 for c in shifted)
+    v1 = tuple(c // m for c in shifted)
+    assert math.gcd(*minors2(u1, v1)) == 1
+    return u1, v1
 
 
 def plane_coords(w: Vec, u: Vec, v: Vec) -> tuple[int, int]:

@@ -8,8 +8,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from ._kernels import UnsupportedRequest
+
 HALF = Fraction(1, 2)
 CHECK_PERIODS = 4  # a gamma table is compared with direct coset minima over this many periods past q0
+
+# most grid points one gamma table's self-check may evaluate (the sum of q over its window):
+# 10x the most any table of the benchmark takes (116,748, on 2,-2,3;0,-1,-3 with q0 1,658
+# and modulus 17) and 42x the test suite's (27,985); at about 26 us a point on a 2-vCPU VM
+# the largest table allowed checks in about 30 s, while 5,-3,2;1,4,-3 has one of 10,567,095
+SELFCHECK_BUDGET = 1_200_000
 
 
 def dist_to_half(y: Fraction | int) -> Fraction:
@@ -200,17 +208,37 @@ class GammaTable:
     q0: int
 
 
-def gamma_table(f: CirclePWL, b: Fraction) -> GammaTable:
-    """Build the coset-minimum table of f against the family (b + Z)/q, certified on a window."""
-    m = f.minimum
-    b = Fraction(b) % 1
+def table_window(f: CirclePWL, b: Fraction) -> tuple[int, int]:
+    """(q0, modulus) of the coset-minimum table of f against (b + Z)/q. A table whose
+    self-check, q = q0 .. q0 + CHECK_PERIODS * modulus, would evaluate more than
+    SELFCHECK_BUDGET grid points (the sum of q over that window) is refused."""
     flats = f.flat_pieces_at_min()
     if flats:
-        length = max(bb - aa for aa, bb in flats)
-        table = GammaTable(1, (Fraction(0),), math.ceil(1 / length))
+        q0, mod = math.ceil(1 / max(bb - aa for aa, bb in flats)), 1
     else:
         iso = f.isolated_argmins()
-        mod = math.lcm(b.denominator, *[t.denominator for t, _, _, _ in iso])
+        mod = math.lcm(Fraction(b).denominator, *[t.denominator for t, _, _, _ in iso])
+        rho_min = min(rho for _, _, _, rho in iso)
+        lam_max = max(max(lm, lp) for _, lm, lp, _ in iso)
+        # every minimum is isolated here, so the breakpoints above the minimum are
+        # exactly those outside the argmin neighbourhoods
+        d0 = min(v for v in f.values if v > f.minimum) - f.minimum
+        q0 = max(math.ceil(1 / rho_min), math.floor(lam_max / d0) + 1)
+    last = q0 + CHECK_PERIODS * mod
+    if (q0 + last) * (last - q0 + 1) // 2 > SELFCHECK_BUDGET:
+        raise UnsupportedRequest(f"gamma table self-check needs more than {SELFCHECK_BUDGET} grid points")
+    return q0, mod
+
+
+def gamma_table(f: CirclePWL, b: Fraction) -> GammaTable:
+    """Build the coset-minimum table of f against the family (b + Z)/q, certified on a window."""
+    q0, mod = table_window(f, b)
+    m = f.minimum
+    b = Fraction(b) % 1
+    if f.flat_pieces_at_min():
+        gammas = [Fraction(0)]
+    else:
+        iso = f.isolated_argmins()
         gammas = []
         for res_q in range(mod):
             q_rep = res_q if res_q >= 1 else mod
@@ -221,16 +249,10 @@ def gamma_table(f: CirclePWL, b: Fraction) -> GammaTable:
                 if best is None or cand < best:
                     best = cand
             gammas.append(best)
-        rho_min = min(rho for _, _, _, rho in iso)
-        lam_max = max(max(lm, lp) for _, lm, lp, _ in iso)
-        # every minimum is isolated here, so the breakpoints above m are exactly
-        # those outside the argmin neighbourhoods
-        d0 = min(v for v in f.values if v > m) - m
-        q0 = max(math.ceil(1 / rho_min), math.floor(lam_max / d0) + 1)
-        table = GammaTable(mod, tuple(gammas), q0)
-    for q in range(table.q0, table.q0 + CHECK_PERIODS * table.modulus + 1):
+    table = GammaTable(mod, tuple(gammas), q0)
+    for q in range(q0, q0 + CHECK_PERIODS * mod + 1):
         direct = coset_min_direct(f, b, q)
-        formula = m + table.gamma[q % table.modulus] / q
+        formula = m + table.gamma[q % mod] / q
         if direct != formula:
             raise RuntimeError("gamma table self-check failed")
     return table

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exact import Vec, gcd_ext, orient, primitive_kernel
-from .pwl import CirclePWL, coset_min_direct, gamma_table
+from .pwl import CirclePWL, coset_min_direct, gamma_table, table_window
 from .slices import slice_structure
 from .torus import normal_plane, oracle_sweep
 
@@ -75,11 +75,12 @@ class ClassSetup:
     def m_prime(self) -> int:
         """Common residue modulus: lcm of critical K values and gamma-table moduli."""
         if self._m_prime is None:
-            mods = [1]
-            for c in self.critical:
-                mods.append(c.K)
-                for a in range(c.K):
-                    mods.append(self.table(c, a).modulus)
+            keys = [(c, a) for c in self.critical for a in range(c.K)]
+            # read every window first, so that a table past the self-check budget is
+            # refused before any self-check runs
+            for c, a in keys:
+                table_window(c.f, Fraction(a * c.ell, c.K))
+            mods = [c.K for c in self.critical] + [self.table(c, a).modulus for c, a in keys]
             self._m_prime = math.lcm(*mods)
         return self._m_prime
 

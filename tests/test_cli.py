@@ -94,6 +94,26 @@ def test_d_basis_past_restriction_budget_exit_3(capsys):
     assert "slice restrictions" in json.loads(out)["error"]
 
 
+def test_d_basis_huge_saturation_index(capsys):
+    # the saturation shift is found in closed form, not by a search over 10**9 candidates
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "d", "--basis", "1,0,0;1,1000000000,1000000000")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (0, "0\n")
+
+
+def test_spectrum_past_selfcheck_budget_exit_3(capsys):
+    # one critical gamma table has q0 = 63,961 and modulus 41: its self-check would
+    # evaluate 10,567,095 grid points
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "spectrum", "--basis", "5,-3,2;1,4,-3", "--bound", "3", "--format", "json")
+    assert time.perf_counter() - t0 < 2
+    assert code == 3
+    assert "self-check" in json.loads(out)["error"]
+    code, out, _ = run(capsys, "d", "--basis", "5,-3,2;1,4,-3")
+    assert (code, out) == (0, "1/82\n")
+
+
 def test_d_basis(capsys):
     code, out, _ = run(capsys, "d", "--basis", "0,1,2,3;1,0,0,0")
     assert (code, out) == (0, "1/4\n")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -109,6 +110,35 @@ def test_saturate_plane_preserves_span_random():
                 if done:
                     break
             assert done
+
+
+def _saturate_by_search(u, v):
+    """The shift search saturate_plane once ran: the least t in range(m) with v + t * u1 = 0 mod m."""
+    cu = math.gcd(*u)
+    u1 = tuple(c // cu for c in u)
+    m = math.gcd(*minors2(u1, v))
+    for t in range(m):
+        shifted = [v[k] + t * u1[k] for k in range(len(v))]
+        if all(c % m == 0 for c in shifted):
+            return u1, tuple(c // m for c in shifted)
+
+
+def test_saturate_plane_matches_shift_search_random():
+    rng = random.Random(29)
+    for _ in range(2000):
+        n = rng.randint(2, 6)
+        u = tuple(rng.randint(-9, 9) for _ in range(n))
+        scale = rng.choice((1, 2, 3, 6))
+        v = tuple(scale * rng.randint(-9, 9) for _ in range(n))
+        if all(m == 0 for m in minors2(u, v)):
+            continue
+        assert saturate_plane(u, v) == _saturate_by_search(u, v), (u, v)
+
+
+def test_saturate_plane_huge_index_in_closed_form():
+    t0 = time.perf_counter()
+    assert saturate_plane((1, 0, 0), (1, 10**9, 10**9)) == ((1, 0, 0), (1, 1, 1))
+    assert time.perf_counter() - t0 < 1
 
 
 def test_complete_to_basis_literal_case():

@@ -42,9 +42,24 @@ def test_backends_agree_random(monkeypatch):
         results = set()
         for mode in BACKENDS:
             monkeypatch.setenv("LONELY_RUNNER_KERNEL", mode)
-            num, den = _kernels.d_line_raw(w)
-            results.add(Fraction(num, den))
+            results.add(_kernels.d_line_raw(w))
         assert len(results) == 1
+
+
+@pytest.mark.parametrize("cutoff", [0, 10**18])
+def test_numpy_rows_match_python_raw(monkeypatch, cutoff):
+    # cutoff 0 vectorizes every row of the numpy backend, 10**18 loops every row; speeds up
+    # to 300 put rows on both sides of the chosen ROW_CUTOFF
+    rng = random.Random(202)
+    lines = [sorted({rng.randint(1, 300) for _ in range(rng.randint(2, 6))}) for _ in range(80)]
+    lines = [w for w in lines if len(w) >= 2]
+    monkeypatch.setenv("LONELY_RUNNER_KERNEL", "python")
+    expect = [_kernels.d_line_raw(w) for w in lines]
+    sweeps = [_kernels.sweep_raw(u, v, 8) for u, v in GOLDEN_PLANES]
+    monkeypatch.setenv("LONELY_RUNNER_KERNEL", "numpy")
+    monkeypatch.setattr(_kernels, "ROW_CUTOFF", cutoff)
+    assert [_kernels.d_line_raw(w) for w in lines] == expect
+    assert [_kernels.sweep_raw(u, v, 8) for u, v in GOLDEN_PLANES] == sweeps
 
 
 def test_big_entries_fall_back_to_python(monkeypatch):

@@ -12,6 +12,8 @@ from goldens import (
     STRIP_QUARTER,
     TENTH_PLANES,
 )
+from lonely_runner import pwl
+from lonely_runner._kernels import UnsupportedRequest
 from lonely_runner.pwl import (
     CirclePWL,
     approx,
@@ -269,6 +271,19 @@ def test_gamma_table_flat_route():
     assert (table.modulus, table.gamma, table.q0) == (1, (F(0),), 2)
     for q in (2, 3, 7):
         assert coset_min_direct(f, F(0), q) == F(1, 4)
+
+
+def test_gamma_table_selfcheck_budget_counts_grid_points(monkeypatch):
+    # the self-check evaluates q grid points for each q in q0 .. q0 + CHECK_PERIODS * modulus
+    f = build_restriction((0, 0, 0, 0), (1, 1, 2, 3))
+    q0, mod = pwl.table_window(f, F(0))
+    points = sum(range(q0, q0 + pwl.CHECK_PERIODS * mod + 1))
+    monkeypatch.setattr(pwl, "SELFCHECK_BUDGET", points - 1)
+    with pytest.raises(UnsupportedRequest, match="grid points"):
+        gamma_table(f, F(0))
+    monkeypatch.setattr(pwl, "SELFCHECK_BUDGET", points)
+    table = gamma_table(f, F(0))
+    assert (table.q0, table.modulus) == (q0, mod)
 
 
 def test_gamma_table_random_restrictions_certify():
