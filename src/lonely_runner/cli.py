@@ -137,7 +137,16 @@ def cmd_d(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     ana = SpectrumAnalysis(*args.basis)
     if args.trace:
-        print(f"route {ana.route}", file=sys.stderr)
+        s = ana.setup
+        classes = len(ana.sector_records) + sum(len(recs) for *_, recs in ana.flat_lines)
+        # classes with equal coset gammas share one tuple of sector records
+        geometries = len({id(recs) for recs in ana.sector_records.values()})
+        # m' is read, not computed: the finite route never needs it
+        print(
+            f"route {ana.route} m_prime {s._m_prime or '-'} tables {len(s._tables)}"
+            f" classes {classes} geometries {geometries}",
+            file=sys.stderr,
+        )
         for c, base, direction, recs in ana.flat_lines:
             print(f"line c={c} base={base} direction={direction}", file=sys.stderr)
             for r in recs:

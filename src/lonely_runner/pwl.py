@@ -222,7 +222,8 @@ def table_window(f: CirclePWL, b: Fraction) -> tuple[int, int]:
         lam_max = max(max(lm, lp) for _, lm, lp, _ in iso)
         # every minimum is isolated here, so the breakpoints above the minimum are
         # exactly those outside the argmin neighbourhoods
-        d0 = min(v for v in f.values if v > f.minimum) - f.minimum
+        m = f.minimum
+        d0 = min(v for v in f.values if v > m) - m
         q0 = max(math.ceil(1 / rho_min), math.floor(lam_max / d0) + 1)
     last = q0 + CHECK_PERIODS * mod
     if (q0 + last) * (last - q0 + 1) // 2 > SELFCHECK_BUDGET:

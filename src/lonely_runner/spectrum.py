@@ -35,13 +35,17 @@ class Component:
     A1: int
     A3: int
     f: CirclePWL
-    minimum: Fraction
+    rid: int  # number of f among the setup's distinct restrictions
 
     def q_of(self, A: int, B: int) -> int:
         return self.E * A + self.F * B
 
     def a_of(self, A: int, B: int) -> int:
         return self.A1 * A + self.A3 * B
+
+    def offset(self, a: int) -> Fraction:
+        """Coset offset a*ell/K mod 1 of the restriction at parameter residue a."""
+        return Fraction(a * self.ell % self.K, self.K)
 
     @property
     def key(self) -> tuple[int, int, int, int]:
@@ -63,33 +67,39 @@ class ClassSetup:
     _m_prime: int | None = field(default=None, repr=False)
 
     def table(self, comp: Component, a: int):
-        """Certified gamma table for one component at parameter residue a."""
-        a = a % comp.K
-        key = (comp.i, comp.j, comp.eps, comp.ell, a)
+        """Certified gamma table for one component at parameter residue a, shared by every
+        component with the same restriction and offset."""
+        b = comp.offset(a)
+        # the offset as integers: hashing a Fraction costs a modular inverse
+        key = (comp.rid, b.numerator, b.denominator)
         if key not in self._tables:
-            b = Fraction(a * comp.ell, comp.K) % 1
             self._tables[key] = gamma_table(comp.f, b)
         return self._tables[key]
 
+    def coset(self, comp: Component, A: int, B: int, sign: int) -> tuple[Fraction, int]:
+        """(gamma, q0) of comp's coset minima at the pair sign*(A, B)."""
+        tab = self.table(comp, sign * comp.a_of(A, B))
+        return tab.gamma[sign * comp.q_of(A, B) % tab.modulus], tab.q0
+
     @property
     def m_prime(self) -> int:
-        """Common residue modulus: lcm of critical K values and gamma-table moduli."""
+        """Common residue modulus: lcm of critical K values and gamma-table moduli. The
+        moduli come from the table windows, so no table is built here and a table past
+        the self-check budget is refused before any self-check runs."""
         if self._m_prime is None:
-            keys = [(c, a) for c in self.critical for a in range(c.K)]
-            # read every window first, so that a table past the self-check budget is
-            # refused before any self-check runs
-            for c, a in keys:
-                table_window(c.f, Fraction(a * c.ell, c.K))
-            mods = [c.K for c in self.critical] + [self.table(c, a).modulus for c, a in keys]
-            self._m_prime = math.lcm(*mods)
+            crit = self.critical
+            mods = [table_window(c.f, c.offset(a))[1] for c in crit for a in range(c.K)]
+            self._m_prime = math.lcm(*(c.K for c in crit), *mods)
         return self._m_prime
 
 
 def class_setup(u: Vec, v: Vec) -> ClassSetup:
     """Normalise the plane and collect every slice component ell <= K // 2 (component
-    K - ell mirrors it and has the same coset minima) with its linear forms."""
+    K - ell mirrors it and has the same coset minima) with its linear forms, numbering
+    the distinct restrictions so that equal ones share their gamma tables."""
     u, v = normal_plane(u, v)
     comps: list[Component] = []
+    rids: dict[CirclePWL, int] = {}
     n = len(u)
     for i in range(n):
         for j in range(i + 1, n):
@@ -97,12 +107,14 @@ def class_setup(u: Vec, v: Vec) -> ClassSetup:
                 s = slice_structure(u, v, i, j, eps)
                 z1, z2, z3, z4 = s.z
                 for ell, f in enumerate(s.restrictions):
+                    rid = rids.setdefault(f, len(rids))
                     comps.append(
-                        Component(len(comps), i, j, eps, ell, s.K, z2, z4, z1, z3, f, f.minimum)
+                        Component(len(comps), i, j, eps, ell, s.K, z2, z4, z1, z3, f, rid)
                     )
-    d = min(c.minimum for c in comps)
-    critical = tuple(c for c in comps if c.minimum == d)
-    rest = [c.minimum for c in comps if c.minimum > d]
+    minima = [c.f.minimum for c in comps]
+    d = min(minima)
+    critical = tuple(c for c, m in zip(comps, minima) if m == d)
+    rest = [m for m in minima if m > d]
     m2 = min(rest) if rest else None
     flats = tuple(c for c in critical if c.f.flat_pieces_at_min())
     return ClassSetup(u, v, d, tuple(comps), critical, m2, flats)
@@ -121,26 +133,20 @@ class LineClassRecord:
     gamma: Fraction | None = None
     slope: Fraction | None = None
     const: Fraction | None = None
-    alpha: Fraction | None = None
-    beta: Fraction | None = None
     s0: int = 0
     winner: tuple | None = None
 
 
 @dataclass(frozen=True)
 class SectorRecord:
-    """Winning offset form on one merged sector of a residue class."""
+    """Winning offset form on one merged sector, shared by the residue classes with equal
+    coset gammas."""
 
-    aleph: int
-    beth: int
     start_ray: tuple[int, int]
     end_ray: tuple[int, int]
     kappa: int
     gamma: Fraction | None = None
     form: tuple[int, int] | None = None
-    c0: int | None = None
-    alpha: Fraction | None = None
-    beta: Fraction | None = None
     winner: tuple | None = None
 
 
@@ -191,9 +197,7 @@ def halfline_analysis(
         for c in const_comps:
             qc = c.q_of(A0, B0)
             assert qc != 0, "constant form vanishing off the origin line"
-            delta = _sign(qc)
-            a = (delta * c.a_of(A0, B0)) % c.K
-            b = Fraction(a * c.ell, c.K) % 1
+            b = c.offset(_sign(qc) * c.a_of(A0, B0))
             consts.append(coset_min_direct(c.f, b, abs(qc)))
         if consts and min(consts) == d:
             records.append(LineClassRecord(base, direction, mt, res, "hit", value=d))
@@ -204,9 +208,8 @@ def halfline_analysis(
             dinf = _sign(qd)
             ch = Fraction(dinf * c.q_of(A0, B0))
             ph = Fraction(dinf * qd * mt)
-            tab = setup.table(c, dinf * c.a_of(A0, B0))
-            gam = tab.gamma[int(ch) % tab.modulus]
-            cands.append((c, gam, ph, ch, tab.q0))
+            gam, q0 = setup.coset(c, A0, B0, dinf)
+            cands.append((c, gam, ph, ch, q0))
         if not cands:
             v = min(consts) if consts else None
             records.append(LineClassRecord(base, direction, mt, res, "constant", value=v))
@@ -215,11 +218,8 @@ def halfline_analysis(
         if zero:
             c, gam, ph, ch, q0 = min(zero, key=lambda t: (t[4] - t[3]) / t[2])
             s0 = max(0, math.ceil((q0 - ch) / ph))
-            records.append(
-                LineClassRecord(
-                    base, direction, mt, res, "base", value=d, s0=s0, winner=c.key
-                )
-            )
+            rec = LineClassRecord(base, direction, mt, res, "base", value=d, s0=s0, winner=c.key)
+            records.append(rec)
             continue
         cw, gw, pw, c0w, q0w = max(cands, key=lambda t: (t[2] / t[1], t[3] / t[1]))
         s0 = 0
@@ -235,22 +235,10 @@ def halfline_analysis(
             floors.append(setup.m2 - d)
         for fl in floors:
             s0 = max(s0, math.ceil((gw / fl - c0w) / pw))
-        records.append(
-            LineClassRecord(
-                base,
-                direction,
-                mt,
-                res,
-                "family",
-                gamma=gw,
-                slope=pw,
-                const=c0w,
-                alpha=pw / gw,
-                beta=c0w / gw,
-                s0=s0,
-                winner=cw.key,
-            )
+        rec = LineClassRecord(
+            base, direction, mt, res, "family", gamma=gw, slope=pw, const=c0w, s0=s0, winner=cw.key
         )
+        records.append(rec)
     return records
 
 
@@ -263,16 +251,10 @@ def _clockwise_key(ray: tuple[int, int]):
     return (1, Fraction(-b, a))
 
 
-def sector_decomposition(setup: ClassSetup, aleph: int, beth: int) -> list[SectorRecord]:
-    """Merged sector records for one residue class (aleph, beth) mod m_prime."""
-    mp = setup.m_prime
-    assert math.gcd(math.gcd(aleph, beth), mp) == 1
-    gam: dict[tuple[int, int], Fraction] = {}
-    for c in setup.critical:
-        for delta in (1, -1):
-            tab = setup.table(c, delta * c.a_of(aleph, beth))
-            q_res = (delta * c.q_of(aleph, beth)) % tab.modulus
-            gam[(c.idx, delta)] = tab.gamma[q_res]
+def sector_decomposition(setup: ClassSetup, gammas: tuple) -> tuple[SectorRecord, ...]:
+    """Merged sector records of the residue classes mod m_prime whose coset gammas are
+    gammas, one per critical component and sign (+1, then -1)."""
+    gam = dict(zip(((c.idx, dl) for c in setup.critical for dl in (1, -1)), gammas))
     rays = {(0, 1), (0, -1)}
     for c in setup.critical:
         r = primitive_kernel(c.E, c.F)
@@ -308,26 +290,10 @@ def sector_decomposition(setup: ClassSetup, aleph: int, beth: int) -> list[Secto
                 best = (key, c, delta, g)
         _, cw, dw, gw = best
         if gw == 0:
-            recs.append(SectorRecord(aleph, beth, r1, r2, 0, winner=cw.key))
-            continue
-        c0 = (dw * cw.q_of(aleph, beth)) % mp
-        if c0 == 0:
-            c0 = mp
-        recs.append(
-            SectorRecord(
-                aleph,
-                beth,
-                r1,
-                r2,
-                1,
-                gamma=gw,
-                form=(dw * cw.E, dw * cw.F),
-                c0=c0,
-                alpha=Fraction(mp) / gw,
-                beta=Fraction(c0) / gw,
-                winner=cw.key,
-            )
-        )
+            recs.append(SectorRecord(r1, r2, 0, winner=cw.key))
+        else:
+            form = (dw * cw.E, dw * cw.F)
+            recs.append(SectorRecord(r1, r2, 1, gamma=gw, form=form, winner=cw.key))
     merged = [recs[0]]
     for r in recs[1:]:
         p = merged[-1]
@@ -337,7 +303,7 @@ def sector_decomposition(setup: ClassSetup, aleph: int, beth: int) -> list[Secto
             merged.append(r)
     if len({r.kappa for r in merged}) != 1:
         raise RuntimeError("kappa dichotomy violated within a residue class")
-    return merged
+    return tuple(merged)
 
 
 def normalize_beta(alpha: Fraction, beta: Fraction, d: Fraction) -> Fraction:
@@ -447,18 +413,35 @@ class SpectrumAnalysis:
         else:
             self.route = "sector"
             mp = s.m_prime
+            # the sectors depend on a class only through its coset gammas
+            shared: dict[tuple, tuple[SectorRecord, ...]] = {}
             for aleph in range(mp):
                 for beth in range(mp):
                     if math.gcd(math.gcd(aleph, beth), mp) != 1:
                         continue
-                    self.sector_records[(aleph, beth)] = sector_decomposition(s, aleph, beth)
+                    gams = tuple(
+                        s.coset(c, aleph, beth, dl)[0] for c in s.critical for dl in (1, -1)
+                    )
+                    recs = shared.get(gams)
+                    if recs is None:
+                        recs = shared[gams] = sector_decomposition(s, gams)
+                    self.sector_records[(aleph, beth)] = recs
+        # unnormalized (alpha, beta) of every family record: (slope, const) / gamma on a
+        # half-line; (m', c0) / gamma on a sector of class (aleph, beth), where
+        # c0 = form . (aleph, beth) mod m', or m' when that is 0
         line_recs = [r for *_, recs in self.flat_lines for r in recs]
-        sector_recs = [r for recs in self.sector_records.values() for r in recs]
-        # unnormalized (alpha, beta) of every family record
-        self.families = [(r.alpha, r.beta) for r in line_recs if r.outcome == "family"]
-        self.families += [(r.alpha, r.beta) for r in sector_recs if r.kappa == 1]
+        fams = {(r.slope / r.gamma, r.const / r.gamma) for r in line_recs if r.outcome == "family"}
+        for (aleph, beth), recs in self.sector_records.items():
+            mp = s.m_prime
+            for r in recs:
+                if r.kappa == 1:
+                    c0 = (r.form[0] * aleph + r.form[1] * beth) % mp or mp
+                    fams.add((mp / r.gamma, c0 / r.gamma))
+        self.families = fams
         # a formula reaches d on a flat component's strip or on a kappa-0 sector
-        self.base_reachable = bool(s.flats) or any(r.kappa == 0 for r in sector_recs)
+        self.base_reachable = bool(s.flats) or any(
+            r.kappa == 0 for recs in self.sector_records.values() for r in recs
+        )
 
     def description(self, certify_bound: int = 200) -> SpectrumDescription:
         s = self.setup
@@ -514,7 +497,7 @@ class SpectrumAnalysis:
             q = c.q_of(A, B)
             if q == 0:
                 return None
-            if abs(q) < s.table(c, _sign(q) * c.a_of(A, B)).q0:
+            if abs(q) < s.coset(c, A, B, _sign(q))[1]:
                 return None
         mp = s.m_prime
         recs = self.sector_records.get((A % mp, B % mp))

@@ -124,7 +124,8 @@ def flat_row_types(plane):
             if rec.outcome != "family":
                 continue
             mt = recs[0].modulus
-            typ = (rec.alpha, normalize_beta(rec.alpha, rec.beta, s.d_value))
+            alpha, beta = rec.slope / rec.gamma, rec.const / rec.gamma
+            typ = (alpha, normalize_beta(alpha, beta, s.d_value))
             # sample two points of the class to pin level and residue; the
             # rows cover the side with positive running coordinate, and the
             # mirror side repeats the same lines reflected
@@ -221,18 +222,17 @@ def criterion_3():
             return False, f"flat-line rows differ for plane {plane}"
     for plane, rows in SECTOR_ROWS.items():
         ana = analysis(plane)
-        mine = sorted(
-            tuple(
-                sorted(
-                    {
-                        (r.alpha, normalize_beta(r.alpha, r.beta, d))
-                        for r in recs
-                        if r.kappa == 1
-                    }
-                )
-            )
-            for recs in ana.sector_records.values()
-        )
+        mp = ana.setup.m_prime
+        mine = []
+        for (aleph, beth), recs in ana.sector_records.items():
+            row = set()
+            for r in recs:
+                if r.kappa == 1:
+                    # (alpha, beta) = (m', c0) / gamma, c0 = form . (aleph, beth) mod m'
+                    c0 = (r.form[0] * aleph + r.form[1] * beth) % mp or mp
+                    row.add((mp / r.gamma, normalize_beta(mp / r.gamma, c0 / r.gamma, d)))
+            mine.append(tuple(sorted(row)))
+        mine.sort()
         wanted = sorted(
             tuple(sorted({scaled_type(d, p, 5, r) for p, r in row})) for row in rows
         )

@@ -114,6 +114,16 @@ def test_spectrum_past_selfcheck_budget_exit_3(capsys):
     assert (code, out) == (0, "1/82\n")
 
 
+def test_spectrum_many_breakpoints_refused_fast(capsys):
+    # the critical restrictions have 2,000 to 2,998 breakpoints, so every table window
+    # must read the minimum once, not once per value
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "spectrum", "--basis", "1,0,500;0,1,500", "--bound", "3")
+    assert time.perf_counter() - t0 < 5
+    assert code == 3
+    assert "self-check" in json.loads(out)["error"]
+
+
 def test_d_basis(capsys):
     code, out, _ = run(capsys, "d", "--basis", "0,1,2,3;1,0,0,0")
     assert (code, out) == (0, "1/4\n")
@@ -320,7 +330,7 @@ def test_spectrum_trace_on_stderr(capsys):
         capsys, "spectrum", "--basis", U2_BASIS, "--bound", "60", "--trace"
     )
     assert code == 0
-    assert err.startswith("route sector")
+    assert err.splitlines()[0] == "route sector m_prime 4 tables 3 classes 12 geometries 12"
     assert json.loads(out)["d_value"] == "1/4"
 
 

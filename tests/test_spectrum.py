@@ -1,6 +1,7 @@
 """Tests for residue-class analysis and relative spectrum descriptions."""
 
 import math
+import time
 from fractions import Fraction as Fr
 
 import pytest
@@ -44,9 +45,21 @@ GOLDEN_PLANES = (
 )
 
 
-def sector_rows(records):
-    """Project sector records onto the fields that define the winning offsets."""
-    return [(r.kappa, r.gamma, r.form, r.c0) for r in records]
+def sector_rows(records, cls, m_prime):
+    """Project the sector records of residue class cls onto the fields that define the
+    winning offsets: kappa, gamma, form and c0 = form . cls mod m_prime (m_prime for 0)."""
+    rows = []
+    for r in records:
+        c0 = None
+        if r.kappa == 1:
+            c0 = (r.form[0] * cls[0] + r.form[1] * cls[1]) % m_prime or m_prime
+        rows.append((r.kappa, r.gamma, r.form, c0))
+    return rows
+
+
+def line_family(rec):
+    """Unnormalized (alpha, beta) of a half-line family record."""
+    return rec.slope / rec.gamma, rec.const / rec.gamma
 
 
 def interior_rays(records):
@@ -123,9 +136,9 @@ def test_halfline_records_strip_quarter():
     recs = halfline_analysis(s, (1, 0), (0, 1))
     assert [r.outcome for r in recs] == ["family", "hit", "hit", "hit"]
     fam = recs[0]
-    assert (fam.alpha, fam.beta) == (16, 4)
+    assert line_family(fam) == (16, 4)
     assert (fam.gamma, fam.slope, fam.const) == (Fr(1, 4), 4, 1)
-    assert normalize_beta(fam.alpha, fam.beta, s.d_value) == 20
+    assert normalize_beta(*line_family(fam), s.d_value) == 20
 
 
 def test_halfline_records_sector_third():
@@ -134,8 +147,8 @@ def test_halfline_records_sector_third():
     assert [r.outcome for r in recs] == [
         "family", "noncoprime", "family", "noncoprime", "noncoprime", "noncoprime",
     ]
-    assert (recs[0].alpha, recs[0].beta) == (36, 102)
-    assert (recs[2].alpha, recs[2].beta) == (36, 186)
+    assert line_family(recs[0]) == (36, 102)
+    assert line_family(recs[2]) == (36, 186)
     assert normalize_beta(36, 102, Fr(1, 3)) == 30
     assert normalize_beta(36, 186, Fr(1, 3)) == 42
 
@@ -185,7 +198,7 @@ def test_sector_table_quarter():
     for cls, (rays, rows) in SECTOR_QUARTER_TABLE.items():
         recs = ana.sector_records[cls]
         assert interior_rays(recs) == rays, cls
-        assert sector_rows(recs) == rows, cls
+        assert sector_rows(recs, cls, 4) == rows, cls
     for cls in [(1, 1), (1, 2), (3, 2), (3, 3)]:
         recs = ana.sector_records[cls]
         assert [r.kappa for r in recs] == [0]
@@ -198,7 +211,7 @@ def test_sector_groups_tenth_a():
     for cls in group:
         recs = ana.sector_records[cls]
         assert interior_rays(recs) == [(1, -2)], cls
-        assert sector_rows(recs) == expect, cls
+        assert sector_rows(recs, cls, 5) == expect, cls
     for cls in [(1, 1), (2, 2), (3, 3), (4, 4)]:
         assert [r.kappa for r in ana.sector_records[cls]] == [0]
 
@@ -207,10 +220,10 @@ def test_sector_groups_tenth_b():
     ana = SpectrumAnalysis(*SECTOR_TENTH_B)
     recs = ana.sector_records[(0, 1)]
     assert interior_rays(recs) == [(1, -1)]
-    assert sector_rows(recs) == [(1, Fr(2, 5), (3, 1), 1), (1, Fr(1, 5), (-1, -2), 3)]
+    assert sector_rows(recs, (0, 1), 5) == [(1, Fr(2, 5), (3, 1), 1), (1, Fr(1, 5), (-1, -2), 3)]
     recs = ana.sector_records[(1, 4)]
     assert interior_rays(recs) == [(1, 1), (1, -1)]
-    assert sector_rows(recs) == [
+    assert sector_rows(recs, (1, 4), 5) == [
         (1, Fr(3, 5), (1, 2), 4),
         (1, Fr(4, 5), (3, 1), 2),
         (1, Fr(2, 5), (-1, -2), 1),
@@ -387,9 +400,19 @@ def test_mirror_components_dropped_exactly():
             for a in range(c.K):
                 want = gamma_table(mirror, Fr(a * (c.K - c.ell), c.K) % 1)
                 assert want == s.table(c, a), (u, v, c.key, a)
+    # components with the same restriction and offset share one table object: SECTOR_THIRD
+    # reads 27 (component, residue) pairs and builds 9 tables
     s = class_setup(*SECTOR_THIRD)
     assert s.m_prime == 6
-    assert len(s._tables) == 27
+    assert s._tables == {}
+    reads = {}
+    for c in s.critical:
+        for a in range(c.K):
+            reads.setdefault((c.rid, c.offset(a)), []).append(s.table(c, a))
+    assert sum(len(tabs) for tabs in reads.values()) == 27
+    assert len(reads) == len(s._tables) == 9
+    for tabs in reads.values():
+        assert all(t is tabs[0] for t in tabs)
 
 
 def test_progression_index():
@@ -411,3 +434,37 @@ def test_classify_value_sector_quarter():
     both = fams + [(Fr(16), Fr(20))]
     assert classify_value(d, both, d + Fr(1, 20)) == "progression(8,12)"
     assert classify_value(d, both[::-1], d + Fr(1, 20)) == "progression(16,20)"
+
+
+def test_large_m_prime_plane_shares_sectors():
+    # m' = 140: 13,824 coprime classes with only 2 distinct coset-gamma vectors
+    u, v = (4, 3, 2, 4), (-3, -4, -1, -1)
+    bound = 12
+    t0 = time.perf_counter()
+    ana = SpectrumAnalysis(u, v)
+    assert ana.route == "sector"
+    assert ana.setup.m_prime == 140
+    assert len(ana.sector_records) == 13824
+    assert len({id(recs) for recs in ana.sector_records.values()}) == 2
+    desc = ana.description(bound)
+    sweep = oracle_sweep(u, v, bound)
+    d = desc.d_value
+    for p in desc.progressions:
+        for s, A, B in p.witnesses:
+            assert sweep[(A, B)] == d + 1 / (p.alpha * s + p.beta)
+    for (A, B), val in sweep.items():
+        got = ana.predict(A, B)
+        assert got is None or got == val, (A, B)
+    report = certify(u, v, desc, bound)
+    coprime = sum(
+        1 for A in range(bound + 1) for B in range(-bound, bound + 1) if math.gcd(A, B) == 1
+    ) - 1  # (0, -1) is the same line as (0, 1)
+    exc_values = {val for val, _ in report.exceptional}
+    exc_pairs = sum(1 for val in sweep.values() if val in exc_values)
+    assert report.total == coprime
+    assert (
+        report.improper + report.base_count + sum(report.progression_counts) + exc_pairs
+        == coprime
+    )
+    assert report.exceptional == desc.exceptional_values
+    assert time.perf_counter() - t0 < 15
