@@ -40,8 +40,9 @@ class UnsupportedRequest(ValueError):
     """A request the package declines: no tight-instance catalog data for the dimension
     and distance, an enumeration past catalog.CANDIDATE_BUDGET candidate bases, a slice
     whose restrictions would pass slices.RESTRICTION_BUDGET steps, a line whose oracle
-    scan would pass WORK_BUDGET steps, a sweep box of more than BOX_BUDGET points, or a
-    gamma table whose self-check would pass pwl.SELFCHECK_BUDGET grid points."""
+    scan would pass WORK_BUDGET steps, a sweep box of more than BOX_BUDGET points, a
+    gamma table whose self-check would pass pwl.SELFCHECK_BUDGET grid points, or a
+    spectrum analysis that would build more than spectrum.CLASS_BUDGET class records."""
 
 
 def backend() -> str:

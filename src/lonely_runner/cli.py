@@ -138,13 +138,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     ana = SpectrumAnalysis(*args.basis)
     if args.trace:
         s = ana.setup
-        classes = len(ana.sector_records) + sum(len(recs) for *_, recs in ana.flat_lines)
         # classes with equal coset gammas share one tuple of sector records
         geometries = len({id(recs) for recs in ana.sector_records.values()})
         # m' is read, not computed: the finite route never needs it
         print(
             f"route {ana.route} m_prime {s._m_prime or '-'} tables {len(s._tables)}"
-            f" classes {classes} geometries {geometries}",
+            f" minima {len(s._minima)} classes {ana.classes} geometries {geometries}",
             file=sys.stderr,
         )
         for c, base, direction, recs in ana.flat_lines:

@@ -8,12 +8,18 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
+from ._kernels import UnsupportedRequest
 from .exact import Vec, gcd_ext, orient, primitive_kernel
 from .pwl import CirclePWL, coset_min_direct, gamma_table, table_window
 from .slices import slice_structure
 from .torus import normal_plane, oracle_sweep
 
 WITNESS_RANGE = 11  # progression indices 0..10 are checked for witnesses
+
+# most class records one analysis may build: 3.1x the test suite's most (79,800 half-line
+# records on 1,1,-3,0,-2;-1,-3,-2,1,2) and 868x the benchmark's (288); at about 100 us a
+# record on a 2-vCPU VM the largest analysis allowed builds its records in about 25 s
+CLASS_BUDGET = 250_000
 
 
 def _sign(x: int) -> int:
@@ -37,15 +43,16 @@ class Component:
     f: CirclePWL
     rid: int  # number of f among the setup's distinct restrictions
 
+    def _coset_key(self, a: int) -> tuple[int, int, int]:
+        """(rid, numerator, denominator) of the coset offset a*ell/K mod 1 in lowest terms."""
+        g = math.gcd(a * self.ell, self.K)
+        return self.rid, a * self.ell % self.K // g, self.K // g
+
     def q_of(self, A: int, B: int) -> int:
         return self.E * A + self.F * B
 
     def a_of(self, A: int, B: int) -> int:
         return self.A1 * A + self.A3 * B
-
-    def offset(self, a: int) -> Fraction:
-        """Coset offset a*ell/K mod 1 of the restriction at parameter residue a."""
-        return Fraction(a * self.ell % self.K, self.K)
 
     @property
     def key(self) -> tuple[int, int, int, int]:
@@ -64,17 +71,25 @@ class ClassSetup:
     m2: Fraction | None
     flats: tuple[Component, ...]
     _tables: dict = field(default_factory=dict, repr=False)
+    _minima: dict = field(default_factory=dict, repr=False)
     _m_prime: int | None = field(default=None, repr=False)
 
     def table(self, comp: Component, a: int):
         """Certified gamma table for one component at parameter residue a, shared by every
         component with the same restriction and offset."""
-        b = comp.offset(a)
-        # the offset as integers: hashing a Fraction costs a modular inverse
-        key = (comp.rid, b.numerator, b.denominator)
+        key = comp._coset_key(a)
         if key not in self._tables:
-            self._tables[key] = gamma_table(comp.f, b)
+            self._tables[key] = gamma_table(comp.f, Fraction(key[1], key[2]))
         return self._tables[key]
+
+    def minimum(self, comp: Component, A: int, B: int) -> Fraction:
+        """Direct coset minimum of comp at (A, B), shared by equal (restriction, offset, |q|)."""
+        q = comp.q_of(A, B)
+        assert q != 0, "constant form vanishing off the origin line"
+        key = (*comp._coset_key(_sign(q) * comp.a_of(A, B)), abs(q))
+        if key not in self._minima:
+            self._minima[key] = coset_min_direct(comp.f, Fraction(key[1], key[2]), abs(q))
+        return self._minima[key]
 
     def coset(self, comp: Component, A: int, B: int, sign: int) -> tuple[Fraction, int]:
         """(gamma, q0) of comp's coset minima at the pair sign*(A, B)."""
@@ -88,7 +103,8 @@ class ClassSetup:
         the self-check budget is refused before any self-check runs."""
         if self._m_prime is None:
             crit = self.critical
-            mods = [table_window(c.f, c.offset(a))[1] for c in crit for a in range(c.K)]
+            windows = {c._coset_key(a): c.f for c in crit for a in range(c.K)}
+            mods = [table_window(f, Fraction(n, k))[1] for (_, n, k), f in windows.items()]
             self._m_prime = math.lcm(*(c.K for c in crit), *mods)
         return self._m_prime
 
@@ -193,12 +209,7 @@ def halfline_analysis(
         if math.gcd(A0, B0) != 1:
             records.append(LineClassRecord(base, direction, mt, res, "noncoprime"))
             continue
-        consts = []
-        for c in const_comps:
-            qc = c.q_of(A0, B0)
-            assert qc != 0, "constant form vanishing off the origin line"
-            b = c.offset(_sign(qc) * c.a_of(A0, B0))
-            consts.append(coset_min_direct(c.f, b, abs(qc)))
+        consts = [setup.minimum(c, A0, B0) for c in const_comps]
         if consts and min(consts) == d:
             records.append(LineClassRecord(base, direction, mt, res, "hit", value=d))
             continue
@@ -343,21 +354,26 @@ def classify_value(
 
 
 def _absorb(fams: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    """Drop families whose value sets are contained in a coarser listed family."""
-    out = []
-    for f2 in fams:
-        keep = True
-        for f1 in fams:
-            if f1 == f2:
-                continue
-            q = f2[0] / f1[0]
-            r = (f2[1] - f1[1]) / f1[0]
-            if q.denominator == 1 and q >= 1 and r.denominator == 1 and r >= 0:
-                keep = False
-                break
-        if keep:
-            out.append(f2)
-    return out
+    """Drop families whose value sets are contained in another listed family. (a1, b1)
+    holds (a2, b2) exactly when a2/a1 is a positive integer and b1 <= b2 with b1 = b2 mod
+    a1, so for each listed a1 dividing a2 only the least listed b1 of b2's class counts."""
+    least: dict = {}
+    by_num: dict = {}
+    for a, b in fams:
+        least[a, b % a] = min(least.get((a, b % a), b), b)
+        by_num.setdefault(a.numerator, set()).add(a)
+    # a1 = n1/d1 divides a2 = n2/d2, both in lowest terms, exactly when n1 | n2 and d2 | d1
+    divisors = {}
+    for a2 in {a for a, _ in fams}:
+        n2, d2 = a2.numerator, a2.denominator
+        nums = {k for j in range(1, math.isqrt(n2) + 1) if n2 % j == 0 for k in (j, n2 // j)}
+        divisors[a2] = [a1 for n in nums for a1 in by_num.get(n, ()) if a1.denominator % d2 == 0]
+    # a1 <= a2, so (b1, a1) < (b2, a2) unless the family is (a2, b2) itself
+    return [
+        (a2, b2)
+        for a2, b2 in fams
+        if not any((least.get((a1, b2 % a1), b2 + 1), a1) < (b2, a2) for a1 in divisors[a2])
+    ]
 
 
 def _value_index(sweep: dict) -> dict:
@@ -382,26 +398,45 @@ def _witnesses(d: Fraction, alpha: Fraction, beta: Fraction, index: dict):
     return tuple(wit), tuple(unwit)
 
 
+def _coprime_classes(m: int) -> int:
+    """Classes (aleph, beth) mod m with gcd(aleph, beth, m) = 1: J_2(m) = m^2 * prod(1 - p^-2)."""
+    n, p = m * m, 2
+    while m > 1:
+        if p * p > m:
+            p = m  # no factor of m is below p, so m is prime
+        if m % p == 0:
+            n = n // (p * p) * (p * p - 1)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return n
+
+
 class SpectrumAnalysis:
     """One pass of the finite calculation: flat strips, the half-lines inside the strip,
     then sector residue classes. route names the stage whose records the plane needs:
     lines (one flat direction), finite (two flat directions pin the exceptional region
-    in a box) or sector (no flat component)."""
+    in a box) or sector (no flat component). classes is the number of records the pass
+    builds, counted in closed form before any is built."""
 
     def __init__(self, u: Vec, v: Vec):
-        self.setup = class_setup(u, v)
-        s = self.setup
+        self.setup = s = class_setup(u, v)
         self.flat_lines: list = []
         self.sector_records: dict = {}
         self.flat_form: tuple[int, int] | None = None
         forms = {orient(c.E, c.F) for c in s.flats}
-        if len(forms) > 1:
-            self.route = "finite"
-        elif forms:
-            self.route = "lines"
+        self.route = ("sector", "lines", "finite")[min(len(forms), 2)]
+        if self.route == "lines":
             E, F = self.flat_form = forms.pop()
             # the strip |E*A + F*B| < q0 holds every pair no flat component settles
             strip = min(s.table(c, 0).q0 for c in s.flats)
+            # the two half-lines at level c hold one record per residue mod lcm(m', c)
+            self.classes = 2 * sum(math.lcm(s.m_prime, c) for c in range(1, strip))
+        else:
+            self.classes = _coprime_classes(s.m_prime) if self.route == "sector" else 0
+        if self.classes > CLASS_BUDGET:
+            raise UnsupportedRequest(f"analysis needs more than {CLASS_BUDGET} class records")
+        if self.route == "lines":
             g, x, y = gcd_ext(E, F)
             assert g == 1
             dirv = primitive_kernel(E, F)
@@ -410,8 +445,7 @@ class SpectrumAnalysis:
                 for dd in (dirv, (-dirv[0], -dirv[1])):
                     recs = halfline_analysis(s, base, dd)
                     self.flat_lines.append((c, base, dd, recs))
-        else:
-            self.route = "sector"
+        elif self.route == "sector":
             mp = s.m_prime
             # the sectors depend on a class only through its coset gammas
             shared: dict[tuple, tuple[SectorRecord, ...]] = {}

@@ -114,6 +114,16 @@ def test_spectrum_past_selfcheck_budget_exit_3(capsys):
     assert (code, out) == (0, "1/82\n")
 
 
+def test_spectrum_past_class_budget_exit_3(capsys, monkeypatch):
+    # 110,592 coprime classes mod m' = 420, counted before any class record is built
+    monkeypatch.setattr("lonely_runner.spectrum.CLASS_BUDGET", 110_591)
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "spectrum", "--basis", "3,3,3,-3;3,4,-3,1", "--bound", "3")
+    assert time.perf_counter() - t0 < 2
+    assert code == 3
+    assert json.loads(out) == {"error": "analysis needs more than 110591 class records"}
+
+
 def test_spectrum_many_breakpoints_refused_fast(capsys):
     # the critical restrictions have 2,000 to 2,998 breakpoints, so every table window
     # must read the minimum once, not once per value
@@ -330,7 +340,9 @@ def test_spectrum_trace_on_stderr(capsys):
         capsys, "spectrum", "--basis", U2_BASIS, "--bound", "60", "--trace"
     )
     assert code == 0
-    assert err.splitlines()[0] == "route sector m_prime 4 tables 3 classes 12 geometries 12"
+    assert err.splitlines()[0] == (
+        "route sector m_prime 4 tables 3 minima 0 classes 12 geometries 12"
+    )
     assert json.loads(out)["d_value"] == "1/4"
 
 

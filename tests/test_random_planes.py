@@ -14,19 +14,12 @@ SEED = 1
 BOUND = 12
 PER_ROUTE = 4
 ROUTES = ("sector", "lines", "finite")
-# widest flat strip a lines-route draw may have: its half-line records number about
-# 2 * sum(lcm(m_prime, c) for c < strip). Of the seed's first lines-route draws, those
-# with strips 15 took 9-12 s to analyse, and two with strip 30 about 100 s each to check
-MAX_STRIP = 10
 
 
-def route_and_strip(u, v):
-    """The route a plane's flat critical components ask for (none, one form, or more),
-    and the width of its flat strip (0 without flat components)."""
-    s = class_setup(u, v)
-    forms = {orient(c.E, c.F) for c in s.flats}
-    strip = min((s.table(c, 0).q0 for c in s.flats), default=0)
-    return ROUTES[min(len(forms), 2)], strip
+def route_of(u, v):
+    """The route a plane's flat critical components ask for (none, one form, or more)."""
+    forms = {orient(c.E, c.F) for c in class_setup(u, v).flats}
+    return ROUTES[min(len(forms), 2)]
 
 
 def uniform_planes(rng):
@@ -62,14 +55,11 @@ def finite_images(rng):
 
 @pytest.fixture(scope="module")
 def planes():
-    """The first PER_ROUTE draws of each route, in draw order, skipping lines-route
-    draws whose flat strip is wider than MAX_STRIP."""
+    """The first PER_ROUTE draws of each route, in draw order."""
     rng = random.Random(SEED)
     drawn = {route: [] for route in ROUTES}
     for u, v in uniform_planes(rng):
-        route, strip = route_and_strip(u, v)
-        if route == "lines" and strip > MAX_STRIP:
-            continue
+        route = route_of(u, v)
         if len(drawn[route]) < PER_ROUTE:
             drawn[route].append((u, v))
         if len(drawn["sector"]) == len(drawn["lines"]) == PER_ROUTE:

@@ -1,6 +1,7 @@
 """Tests for residue-class analysis and relative spectrum descriptions."""
 
 import math
+import random
 import time
 from fractions import Fraction as Fr
 
@@ -16,7 +17,9 @@ from goldens import (
     STRIP_TENTH_A,
     STRIP_TENTH_B,
 )
-from lonely_runner.pwl import build_restriction, gamma_table
+from lonely_runner import spectrum
+from lonely_runner._kernels import UnsupportedRequest
+from lonely_runner.pwl import build_restriction, coset_min_direct, gamma_table
 from lonely_runner.slices import slice_structure
 from lonely_runner.spectrum import (
     SpectrumAnalysis,
@@ -190,6 +193,67 @@ SECTOR_QUARTER_TABLE = {
 }
 
 
+@pytest.mark.parametrize(
+    "plane, route, classes",
+    [
+        (SECTOR_QUARTER, "sector", 12),
+        (STRIP_QUARTER, "lines", 8),
+        (STRIP_TENTH_A, "lines", 100),
+        (((2, -2, 3), (0, -1, -3)), "sector", 288),
+        (FINITE_THREE_TENTHS, "finite", 0),
+    ],
+)
+def test_class_count_matches_records(plane, route, classes):
+    ana = SpectrumAnalysis(*plane)
+    assert ana.route == route
+    built = len(ana.sector_records) + sum(len(recs) for *_, recs in ana.flat_lines)
+    assert ana.classes == built == classes
+
+
+@pytest.mark.parametrize("plane", [SECTOR_QUARTER, STRIP_TENTH_A], ids=["sector", "lines"])
+def test_class_budget_refuses_before_any_record(plane, monkeypatch):
+    classes = SpectrumAnalysis(*plane).classes
+    monkeypatch.setattr(spectrum, "CLASS_BUDGET", classes)
+    assert SpectrumAnalysis(*plane).classes == classes
+
+    def no_records(*args):
+        raise AssertionError("record built past the class budget")
+
+    monkeypatch.setattr(spectrum, "CLASS_BUDGET", classes - 1)
+    monkeypatch.setattr(spectrum, "halfline_analysis", no_records)
+    monkeypatch.setattr(spectrum, "sector_decomposition", no_records)
+    with pytest.raises(UnsupportedRequest, match=f"more than {classes - 1} class records"):
+        SpectrumAnalysis(*plane)
+
+
+def test_halfline_minima_one_per_distinct_read(monkeypatch):
+    # the 100 half-line records of STRIP_TENTH_A read 60 direct minima of their
+    # constant components, 20 of them distinct; gamma tables call pwl's own name
+    calls = []
+
+    def counting(f, b, q):
+        calls.append((f, b, q))
+        return coset_min_direct(f, b, q)
+
+    monkeypatch.setattr(spectrum, "coset_min_direct", counting)
+    ana = SpectrumAnalysis(*STRIP_TENTH_A)
+    s = ana.setup
+    reads = []
+    for _, _, (dA, dB), recs in ana.flat_lines:
+        for r in recs:
+            if r.outcome == "noncoprime":
+                continue
+            A, B = r.base[0] + r.residue * dA, r.base[1] + r.residue * dB
+            for c in s.critical:
+                if c.q_of(dA, dB) == 0:
+                    q, a = c.q_of(A, B), c.a_of(A, B)
+                    sg = 1 if q > 0 else -1
+                    reads.append((c.f, Fr(sg * a * c.ell % c.K, c.K), abs(q)))
+    assert len(reads) == 60
+    assert sorted(calls, key=repr) == sorted(set(reads), key=repr)
+    assert len(calls) == len(s._minima) == 20
+
+
 def test_sector_table_quarter():
     ana = SpectrumAnalysis(*SECTOR_QUARTER)
     assert set(ana.sector_records) == {
@@ -258,6 +322,42 @@ def test_absorb():
     assert _absorb([(Fr(25, 4), Fr(35, 4)), (Fr(25, 2), Fr(15))]) == [(Fr(25, 4), Fr(35, 4))]
     both = [(Fr(25, 4), Fr(35, 4)), (Fr(25, 3), Fr(20, 3))]
     assert _absorb(list(both)) == both
+
+
+def absorb_pairwise(fams):
+    """Reference rule: drop (a2, b2) when another listed (a1, b1) has a2/a1 a positive
+    integer and (b2 - b1)/a1 a nonnegative integer."""
+    out = []
+    for f2 in fams:
+        held = False
+        for f1 in fams:
+            if f1 == f2:
+                continue
+            q = f2[0] / f1[0]
+            r = (f2[1] - f1[1]) / f1[0]
+            held = held or (q.denominator == 1 and q >= 1 and r.denominator == 1 and r >= 0)
+        if not held:
+            out.append(f2)
+    return out
+
+
+def test_absorb_matches_pairwise_rule():
+    # unnormalized lists, shuffled, with duplicates, drawn so that divisors and equal
+    # residues are common
+    rng = random.Random(7)
+    dropping = duplicated = 0
+    for _ in range(3000):
+        pool = []
+        for _ in range(rng.randint(1, 8)):
+            alpha = Fr(rng.choice((1, 2, 3, 4, 6, 8, 12, 24)), rng.choice((1, 2, 4)))
+            pool.append((alpha, Fr(rng.randint(0, 40), rng.choice((1, 2)))))
+        fams = [rng.choice(pool) for _ in range(rng.randint(1, 14))]
+        rng.shuffle(fams)
+        want = absorb_pairwise(fams)
+        assert _absorb(fams) == want, fams
+        dropping += len(want) < len(fams)
+        duplicated += len(set(fams)) < len(fams)
+    assert dropping > 1000 and duplicated > 1000
 
 
 def check_description(desc, families, unwitnessed, exceptional):
@@ -408,7 +508,7 @@ def test_mirror_components_dropped_exactly():
     reads = {}
     for c in s.critical:
         for a in range(c.K):
-            reads.setdefault((c.rid, c.offset(a)), []).append(s.table(c, a))
+            reads.setdefault((c.rid, Fr(a * c.ell % c.K, c.K)), []).append(s.table(c, a))
     assert sum(len(tabs) for tabs in reads.values()) == 27
     assert len(reads) == len(s._tables) == 9
     for tabs in reads.values():
@@ -444,7 +544,7 @@ def test_large_m_prime_plane_shares_sectors():
     ana = SpectrumAnalysis(u, v)
     assert ana.route == "sector"
     assert ana.setup.m_prime == 140
-    assert len(ana.sector_records) == 13824
+    assert len(ana.sector_records) == ana.classes == 13824
     assert len({id(recs) for recs in ana.sector_records.values()}) == 2
     desc = ana.description(bound)
     sweep = oracle_sweep(u, v, bound)
