@@ -31,8 +31,6 @@ def parse_vector(text: str) -> tuple[int, ...]:
         vec = tuple(int(c) for c in text.split(","))
     except ValueError:
         raise ParseError(f"bad vector {text!r}: expected comma-separated integers")
-    if not vec:
-        raise ParseError("empty vector")
     return vec
 
 
@@ -115,12 +113,14 @@ def load_description(path: str) -> SpectrumDescription:
         exc = tuple(
             (Fraction(e["value"]), tuple(e["pair"])) for e in raw["exceptional_values"]
         )
-        bound = int(raw["certified_bound"])
+        attained, bound = raw["base_value_attained"], raw["certified_bound"]
+        if type(attained) is not bool:
+            raise ValueError(f"base_value_attained {attained!r} is not a JSON boolean")
+        if type(bound) is not int:
+            raise ValueError(f"certified_bound {bound!r} is not a JSON integer")
         if bound < 1:
             raise ValueError(f"certified_bound {bound} is below 1")
-        return SpectrumDescription(
-            Fraction(raw["d_value"]), progs, bool(raw["base_value_attained"]), exc, bound
-        )
+        return SpectrumDescription(Fraction(raw["d_value"]), progs, attained, exc, bound)
     except (OSError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"cannot load spectrum description from {path}: {e}")
 
@@ -148,8 +148,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         )
         for c, base, direction, recs in ana.flat_lines:
             print(f"line c={c} base={base} direction={direction}", file=sys.stderr)
-            for r in recs:
-                print(f"  {r}", file=sys.stderr)
+            for res, r in enumerate(recs):
+                print(f"  residue {res} {r}", file=sys.stderr)
         for key, recs in sorted(ana.sector_records.items()):
             print(f"sector class {key}", file=sys.stderr)
             for r in recs:

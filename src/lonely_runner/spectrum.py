@@ -138,17 +138,13 @@ def class_setup(u: Vec, v: Vec) -> ClassSetup:
 
 @dataclass(frozen=True)
 class LineClassRecord:
-    """Outcome of one residue class along a half-line."""
+    """Outcome of one residue class along a half-line; the class is the record's index in
+    its half-line's list, and the modulus is the list's length."""
 
-    base: tuple[int, int]
-    direction: tuple[int, int]
-    modulus: int
-    residue: int
     outcome: str  # noncoprime | hit | constant | base | family
-    value: Fraction | None = None
     gamma: Fraction | None = None
-    slope: Fraction | None = None
-    const: Fraction | None = None
+    slope: int | None = None
+    const: int | None = None
     s0: int = 0
     winner: tuple | None = None
 
@@ -190,7 +186,8 @@ class SpectrumDescription:
 def halfline_analysis(
     setup: ClassSetup, base: tuple[int, int], direction: tuple[int, int]
 ) -> list[LineClassRecord]:
-    """Classify every residue class along base + t*direction, t >= 0."""
+    """Classify every residue class along base + t*direction, t >= 0: one record per
+    residue mod lcm(m', det), in residue order."""
     bA, bB = base
     dA, dB = direction
     det = abs(bA * dB - bB * dA)
@@ -201,41 +198,45 @@ def halfline_analysis(
     # non-critical constant-q components are floored by m2, so only critical
     # ones need exact coset values; their K already divides m_prime
     const_comps = [c for c in setup.critical if c.q_of(dA, dB) == 0]
-    growing = [c for c in setup.critical if c.q_of(dA, dB) != 0]
     mt = math.lcm(setup.m_prime, det)
+    # a growing component's q, signed to grow, is ch = qb + res*step at t = res and
+    # ch + ph*s at t = res + mt*s, with slope ph = step*mt
+    growing = []
+    for c in setup.critical:
+        qd = c.q_of(dA, dB)
+        if qd != 0:
+            sg = _sign(qd)
+            growing.append((c, sg, sg * c.q_of(bA, bB), abs(qd), abs(qd) * mt))
+    # (q0 - ch) * weight orders the thresholds (q0 - ch) / ph in integers
+    ph_lcm = math.lcm(*(g[4] for g in growing))
+    weight = {c.idx: ph_lcm // ph for c, *_, ph in growing}
     records = []
     for res in range(mt):
         A0, B0 = bA + res * dA, bB + res * dB
         if math.gcd(A0, B0) != 1:
-            records.append(LineClassRecord(base, direction, mt, res, "noncoprime"))
+            records.append(LineClassRecord("noncoprime"))
             continue
         consts = [setup.minimum(c, A0, B0) for c in const_comps]
         if consts and min(consts) == d:
-            records.append(LineClassRecord(base, direction, mt, res, "hit", value=d))
+            records.append(LineClassRecord("hit"))
+            continue
+        if not growing:
+            records.append(LineClassRecord("constant"))
             continue
         cands = []
-        for c in growing:
-            qd = c.q_of(dA, dB)
-            dinf = _sign(qd)
-            ch = Fraction(dinf * c.q_of(A0, B0))
-            ph = Fraction(dinf * qd * mt)
-            gam, q0 = setup.coset(c, A0, B0, dinf)
-            cands.append((c, gam, ph, ch, q0))
-        if not cands:
-            v = min(consts) if consts else None
-            records.append(LineClassRecord(base, direction, mt, res, "constant", value=v))
-            continue
+        for c, sg, qb, step, ph in growing:
+            gam, q0 = setup.coset(c, A0, B0, sg)
+            cands.append((c, gam, ph, qb + res * step, q0))
         zero = [t for t in cands if t[1] == 0]
         if zero:
-            c, gam, ph, ch, q0 = min(zero, key=lambda t: (t[4] - t[3]) / t[2])
-            s0 = max(0, math.ceil((q0 - ch) / ph))
-            rec = LineClassRecord(base, direction, mt, res, "base", value=d, s0=s0, winner=c.key)
-            records.append(rec)
+            c, gam, ph, ch, q0 = min(zero, key=lambda t: (t[4] - t[3]) * weight[t[0].idx])
+            s0 = max(0, -((ch - q0) // ph))
+            records.append(LineClassRecord("base", s0=s0, winner=c.key))
             continue
-        cw, gw, pw, c0w, q0w = max(cands, key=lambda t: (t[2] / t[1], t[3] / t[1]))
+        cw, gw, pw, c0w, _ = max(cands, key=lambda t: (t[2] / t[1], t[3] / t[1]))
         s0 = 0
         for c, gam, ph, ch, q0 in cands:
-            s0 = max(s0, math.ceil((q0 - ch) / ph))
+            s0 = max(s0, -((ch - q0) // ph))
             if c is cw:
                 continue
             coeff = gw * ph - gam * pw
@@ -246,9 +247,7 @@ def halfline_analysis(
             floors.append(setup.m2 - d)
         for fl in floors:
             s0 = max(s0, math.ceil((gw / fl - c0w) / pw))
-        rec = LineClassRecord(
-            base, direction, mt, res, "family", gamma=gw, slope=pw, const=c0w, s0=s0, winner=cw.key
-        )
+        rec = LineClassRecord("family", gamma=gw, slope=pw, const=c0w, s0=s0, winner=cw.key)
         records.append(rec)
     return records
 
@@ -436,6 +435,11 @@ class SpectrumAnalysis:
             self.classes = _coprime_classes(s.m_prime) if self.route == "sector" else 0
         if self.classes > CLASS_BUDGET:
             raise UnsupportedRequest(f"analysis needs more than {CLASS_BUDGET} class records")
+        # every family record gives (alpha, beta) = (slope, const) / gamma: (slope, const)
+        # on a half-line, (m', c0) on a sector of class (aleph, beth), where c0 = form .
+        # (aleph, beth) mod m', or m' when that is 0. They are collected as integers (gamma's
+        # numerator and denominator, slope, const), so each distinct family is divided once
+        raw: set[tuple[int, int, int, int]] = set()
         if self.route == "lines":
             g, x, y = gcd_ext(E, F)
             assert g == 1
@@ -445,6 +449,9 @@ class SpectrumAnalysis:
                 for dd in (dirv, (-dirv[0], -dirv[1])):
                     recs = halfline_analysis(s, base, dd)
                     self.flat_lines.append((c, base, dd, recs))
+                    for r in recs:
+                        if r.outcome == "family":
+                            raw.add((r.gamma.numerator, r.gamma.denominator, r.slope, r.const))
         elif self.route == "sector":
             mp = s.m_prime
             # the sectors depend on a class only through its coset gammas
@@ -460,18 +467,11 @@ class SpectrumAnalysis:
                     if recs is None:
                         recs = shared[gams] = sector_decomposition(s, gams)
                     self.sector_records[(aleph, beth)] = recs
-        # unnormalized (alpha, beta) of every family record: (slope, const) / gamma on a
-        # half-line; (m', c0) / gamma on a sector of class (aleph, beth), where
-        # c0 = form . (aleph, beth) mod m', or m' when that is 0
-        line_recs = [r for *_, recs in self.flat_lines for r in recs]
-        fams = {(r.slope / r.gamma, r.const / r.gamma) for r in line_recs if r.outcome == "family"}
-        for (aleph, beth), recs in self.sector_records.items():
-            mp = s.m_prime
-            for r in recs:
-                if r.kappa == 1:
-                    c0 = (r.form[0] * aleph + r.form[1] * beth) % mp or mp
-                    fams.add((mp / r.gamma, c0 / r.gamma))
-        self.families = fams
+                    for r in recs:
+                        if r.kappa == 1:
+                            c0 = (r.form[0] * aleph + r.form[1] * beth) % mp or mp
+                            raw.add((r.gamma.numerator, r.gamma.denominator, mp, c0))
+        self.families = {(Fraction(a * gd, gn), Fraction(b * gd, gn)) for gn, gd, a, b in raw}
         # a formula reaches d on a flat component's strip or on a kappa-0 sector
         self.base_reachable = bool(s.flats) or any(
             r.kappa == 0 for recs in self.sector_records.values() for r in recs
@@ -518,7 +518,7 @@ class SpectrumAnalysis:
                 _, (bA, bB), (da, db), _ = self.flat_lines[i]
                 t = (sg * A - bA) // da if da else (sg * B - bB) // db
                 recs = self.flat_lines[i + (t < 0)][3]
-                sidx, res = divmod(abs(t), recs[0].modulus)
+                sidx, res = divmod(abs(t), len(recs))
                 rec = recs[res]
                 if rec.outcome == "hit" or (rec.outcome == "base" and sidx >= rec.s0):
                     return d

@@ -120,16 +120,16 @@ def flat_row_types(plane):
     s = ana.setup
     rows = {}
     for _, base, dd, recs in ana.flat_lines:
-        for rec in recs:
+        mt = len(recs)
+        for res, rec in enumerate(recs):
             if rec.outcome != "family":
                 continue
-            mt = recs[0].modulus
             alpha, beta = rec.slope / rec.gamma, rec.const / rec.gamma
             typ = (alpha, normalize_beta(alpha, beta, s.d_value))
             # sample two points of the class to pin level and residue; the
             # rows cover the side with positive running coordinate, and the
             # mirror side repeats the same lines reflected
-            for t in (rec.residue + mt * rec.s0, rec.residue + mt * (rec.s0 + 1)):
+            for t in (res + mt * rec.s0, res + mt * (rec.s0 + 1)):
                 pair = (base[0] + t * dd[0], base[1] + t * dd[1])
                 w = tuple(pair[0] * a + pair[1] * b for a, b in zip(s.u, s.v))
                 ap, bp = plane_coords(w, *plane)

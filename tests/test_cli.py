@@ -188,6 +188,17 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     path = tmp_path / "empty_box.json"
     path.write_text(json.dumps(empty_box))
     assert run(capsys, "certify", "--basis", U2_BASIS, "--against", str(path))[0] == 2
+    # a string flag or a non-integer bound would pass a lax cast, and true is no bound
+    _, out, _ = run(capsys, "spectrum", "--basis", U2_BASIS, "--bound", "40")
+    for key, bad in [
+        ("base_value_attained", "false"),
+        ("certified_bound", 40.7),
+        ("certified_bound", True),
+    ]:
+        wrong = tmp_path / "wrong_type.json"
+        wrong.write_text(json.dumps({**json.loads(out), key: bad}))
+        code, _, err = run(capsys, "certify", "--basis", U2_BASIS, "--against", str(wrong))
+        assert code == 2 and "is not a JSON" in err, (key, bad)
     # --against prints text only, so another format is refused before the file is read
     for fmt in ("json", "csv"):
         code, out, err = run(
@@ -344,6 +355,15 @@ def test_spectrum_trace_on_stderr(capsys):
         "route sector m_prime 4 tables 3 minima 0 classes 12 geometries 12"
     )
     assert json.loads(out)["d_value"] == "1/4"
+    # a half-line record is printed with its residue, the record's index
+    code, _, err = run(
+        capsys, "spectrum", "--basis", "0,1,2,3;1,0,0,0", "--bound", "20", "--trace"
+    )
+    assert code == 0
+    assert err.splitlines()[2] == (
+        "  residue 0 LineClassRecord(outcome='family', gamma=Fraction(1, 4), slope=4,"
+        " const=1, s0=16, winner=(0, 1, -1, 0))"
+    )
 
 
 def test_zero_locus_text(capsys):

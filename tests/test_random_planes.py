@@ -5,15 +5,22 @@ import random
 
 import pytest
 
-from goldens import FINITE_THREE_TENTHS
+from goldens import (
+    FINITE_THREE_TENTHS,
+    SECTOR_QUARTER,
+    STRIP_QUARTER,
+    STRIP_TENTH_A,
+    STRIP_TENTH_B,
+)
 from lonely_runner.exact import orient
-from lonely_runner.spectrum import SpectrumAnalysis, certify, class_setup
-from lonely_runner.torus import normal_plane, oracle_sweep
+from lonely_runner.spectrum import SpectrumAnalysis, certify, class_setup, halfline_analysis
+from lonely_runner.torus import d_line_oracle, normal_plane, oracle_sweep
 
 SEED = 1
 BOUND = 12
 PER_ROUTE = 4
 ROUTES = ("sector", "lines", "finite")
+PICKS = 2  # family or base records checked at their thresholds on each random half-line
 
 
 def route_of(u, v):
@@ -80,6 +87,47 @@ def coprime_pairs(bound):
     )
 
 
+def check_thresholds(setup, lines, pick):
+    """Compare the oracle at s = s0 and s = s0 + 1 of the family and base records that pick
+    selects from the residues of each half-line (c, base, direction, records) in lines,
+    pairs that mostly lie past the sweep box, with the record's value d + gamma/(slope*s +
+    const), or d for a base record. Returns the number of pairs compared."""
+    checked = 0
+    for _, base, dd, recs in lines:
+        for res in pick([i for i, r in enumerate(recs) if r.outcome in ("family", "base")]):
+            r = recs[res]
+            for k in (r.s0, r.s0 + 1):
+                t = res + len(recs) * k
+                A, B = base[0] + t * dd[0], base[1] + t * dd[1]
+                want = setup.d_value
+                if r.outcome == "family":
+                    want += r.gamma / (r.slope * k + r.const)
+                got = d_line_oracle(tuple(A * a + B * b for a, b in zip(setup.u, setup.v)))
+                assert got == want, (setup.u, setup.v, base, dd, res, k)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize(
+    "plane, checked",
+    [(STRIP_QUARTER, 4), (STRIP_TENTH_A, 28), (STRIP_TENTH_B, 28)],
+    ids=["quarter", "tenth_a", "tenth_b"],
+)
+def test_strip_golden_thresholds(plane, checked):
+    ana = SpectrumAnalysis(*plane)
+    assert check_thresholds(ana.setup, ana.flat_lines, list) == checked
+
+
+def test_base_record_thresholds():
+    # no strip golden's own half-line holds a base record; this one of SECTOR_QUARTER does
+    s = class_setup(*SECTOR_QUARTER)
+    recs = halfline_analysis(s, (1, 0), (0, 1))
+    assert [(r.outcome, r.s0) for r in recs] == [
+        ("family", 16), ("base", 1), ("base", 1), ("family", 15),
+    ]
+    assert check_thresholds(s, [(1, (1, 0), (0, 1), recs)], list) == 8
+
+
 @pytest.mark.parametrize("k", range(PER_ROUTE))
 @pytest.mark.parametrize("route", ROUTES)
 def test_random_plane_against_oracle(planes, route, k):
@@ -87,6 +135,11 @@ def test_random_plane_against_oracle(planes, route, k):
     ana = SpectrumAnalysis(u, v)
     assert ana.route == route, (u, v)
     s = ana.setup
+    if route == "lines":
+        # a seeded sample of the half-line thresholds, most of them past the box below
+        rng = random.Random(SEED)
+        pick = lambda res: rng.sample(res, min(PICKS, len(res)))
+        assert check_thresholds(s, ana.flat_lines, pick) > 0
     sweep = oracle_sweep(s.u, s.v, BOUND)
     for (A, B), val in sweep.items():
         got = ana.predict(A, B)

@@ -71,8 +71,13 @@ def interior_rays(records):
 
 
 def miss_residues(records):
-    """Residues along a flat half-line that no direct hit settles."""
-    return tuple(r.residue for r in records if r.outcome in ("family", "base", "constant"))
+    """Residues (record indices) along a flat half-line that no direct hit settles."""
+    return tuple(i for i, r in enumerate(records) if r.outcome in ("family", "base", "constant"))
+
+
+def halfline_modulus(setup, base, direction):
+    """lcm(m', det): the modulus of the residue classes along a half-line."""
+    return math.lcm(setup.m_prime, abs(base[0] * direction[1] - base[1] * direction[0]))
 
 
 def test_class_setup_base_values():
@@ -113,11 +118,14 @@ def test_routes():
 
 
 def test_flat_shortcut_shapes():
-    lines = SpectrumAnalysis(*STRIP_QUARTER).flat_lines
-    assert [(base, dd, recs[0].modulus, miss_residues(recs)) for _, base, dd, recs in lines] == [
+    ana = SpectrumAnalysis(*STRIP_QUARTER)
+    lines = ana.flat_lines
+    assert [(base, dd, len(recs), miss_residues(recs)) for _, base, dd, recs in lines] == [
         ((1, 0), (0, 1), 4, (0,)),
         ((1, 0), (0, -1), 4, (0,)),
     ]
+    for _, base, dd, recs in lines:
+        assert len(recs) == halfline_modulus(ana.setup, base, dd)
     assert SpectrumAnalysis(*SECTOR_QUARTER).flat_lines == []
     assert SpectrumAnalysis(*FINITE_THREE_TENTHS).flat_lines == []
 
@@ -126,11 +134,12 @@ def test_flat_shortcut_miss_residues():
     expect_a = {1: (0, 2, 3), 2: (1, 9), 3: (5, 10), 4: ()}
     expect_b = {1: (0, 1, 4), 2: (3, 7), 3: (5, 10), 4: ()}
     for (u, v), expect in [(STRIP_TENTH_A, expect_a), (STRIP_TENTH_B, expect_b)]:
-        lines = SpectrumAnalysis(u, v).flat_lines
+        ana = SpectrumAnalysis(u, v)
+        lines = ana.flat_lines
         assert len(lines) == 8
-        for c, base, _, recs in lines:
+        for c, base, dd, recs in lines:
             assert abs(base[0]) == c
-            assert recs[0].modulus == 5 * c
+            assert len(recs) == 5 * c == halfline_modulus(ana.setup, base, dd)
             assert miss_residues(recs) == expect[c]
 
 
@@ -239,11 +248,12 @@ def test_halfline_minima_one_per_distinct_read(monkeypatch):
     ana = SpectrumAnalysis(*STRIP_TENTH_A)
     s = ana.setup
     reads = []
-    for _, _, (dA, dB), recs in ana.flat_lines:
-        for r in recs:
+    for _, (bA, bB), (dA, dB), recs in ana.flat_lines:
+        assert len(recs) == halfline_modulus(s, (bA, bB), (dA, dB))
+        for res, r in enumerate(recs):
             if r.outcome == "noncoprime":
                 continue
-            A, B = r.base[0] + r.residue * dA, r.base[1] + r.residue * dB
+            A, B = bA + res * dA, bB + res * dB
             for c in s.critical:
                 if c.q_of(dA, dB) == 0:
                     q, a = c.q_of(A, B), c.a_of(A, B)
