@@ -248,8 +248,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.against is not None:
         if args.format != "text":
             raise ParseError(f"--against prints text only, not --format {args.format}")
+        if args.bound is not None:
+            raise ParseError("--against verifies at the file's own certified_bound, not --bound")
         loaded = load_description(args.against)
-        bound = args.bound if args.bound is not None else loaded.certified_bound
+        bound = loaded.certified_bound
         fresh = SpectrumAnalysis(u, v).description(bound)
         left, right = spectrum_payload(loaded), spectrum_payload(fresh)
         if left == right:

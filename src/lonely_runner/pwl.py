@@ -67,58 +67,37 @@ class CirclePWL:
     def minimum(self) -> Fraction:
         return min(self.values)
 
-    def _segment_flat_at_min(self) -> list[bool]:
-        m = self.minimum
-        n = len(self.breakpoints)
-        if n == 1:
-            return [True]
+    def flat_pieces_at_min(self) -> list[tuple[Fraction, Fraction]]:
+        """Maximal closed intervals (a, b), b <= a+1, on which f equals its minimum.
+
+        Reads the canonical form make_pwl builds, with a breakpoint exactly where the
+        slope changes: each piece is then one segment whose two ends sit at the minimum,
+        and a constant is its single breakpoint 0, so the piece (0, 1). On a hand-built
+        function with collinear breakpoints the pieces come unmerged, segment by segment.
+        """
+        bps, vals, m = self.breakpoints, self.values, self.minimum
+        n = len(bps)
         return [
-            self.values[i] == m and self.values[(i + 1) % n] == m for i in range(n)
+            (bps[i], bps[(i + 1) % n] + (i + 1 == n))
+            for i in range(n)
+            if vals[i] == m == vals[(i + 1) % n]
         ]
 
-    def flat_pieces_at_min(self) -> list[tuple[Fraction, Fraction]]:
-        """Maximal closed intervals (a, b), b <= a+1, on which f equals its minimum."""
-        n = len(self.breakpoints)
-        flat = self._segment_flat_at_min()
-        if all(flat):
-            return [(Fraction(0), Fraction(1))]
-        runs = []
-        i = 0
-        while i < n:
-            if flat[i] and not flat[i - 1]:
-                j = i
-                while flat[j % n]:
-                    j += 1
-                runs.append((i, j))
-            i += 1
-        out = []
-        for i, j in runs:
-            a = self.breakpoints[i]
-            b = self.breakpoints[j % n]
-            if b <= a:
-                b += 1
-            out.append((a, b))
-        return out
-
     def isolated_argmins(self) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-        """Entries (t, lambda_minus, lambda_plus, rho) for each isolated minimum point."""
-        m = self.minimum
-        n = len(self.breakpoints)
-        if n == 1:
-            return []
-        flat = self._segment_flat_at_min()
+        """Entries (t, lambda_minus, lambda_plus, rho) for each isolated minimum point:
+        a breakpoint at the minimum whose two neighbours lie above it."""
+        bps, vals, m = self.breakpoints, self.values, self.minimum
+        n = len(bps)
         out = []
         for i in range(n):
-            if self.values[i] != m or flat[i] or flat[i - 1]:
-                continue
-            t = self.breakpoints[i]
-            t_prev = self.breakpoints[i - 1] - (1 if i == 0 else 0)
             j = (i + 1) % n
-            t_next = self.breakpoints[j] + (1 if j == 0 else 0)
-            lam_minus = (self.values[i - 1] - m) / (t - t_prev)
-            lam_plus = (self.values[j] - m) / (t_next - t)
+            if vals[i] != m or vals[i - 1] == m or vals[j] == m:
+                continue
+            t = bps[i]
+            t_prev = bps[i - 1] - (i == 0)
+            t_next = bps[j] + (j == 0)
             rho = min(t - t_prev, t_next - t)
-            out.append((t, lam_minus, lam_plus, rho))
+            out.append((t, (vals[i - 1] - m) / (t - t_prev), (vals[j] - m) / (t_next - t), rho))
         return out
 
 
@@ -240,16 +219,15 @@ def gamma_table(f: CirclePWL, b: Fraction) -> GammaTable:
         gammas = [Fraction(0)]
     else:
         iso = f.isolated_argmins()
-        gammas = []
-        for res_q in range(mod):
-            q_rep = res_q if res_q >= 1 else mod
-            best = None
-            for t, lam_minus, lam_plus, _ in iso:
-                rm, rp, res_mod = approx(t, b, q_rep)
-                cand = Fraction(min(lam_minus * rm, lam_plus * rp), res_mod)
-                if best is None or cand < best:
-                    best = cand
-            gammas.append(best)
+        # residue 0 is read at q = mod
+        gammas = [
+            min(
+                Fraction(min(lm * rm, lp * rp), res_mod)
+                for t, lm, lp, _ in iso
+                for rm, rp, res_mod in [approx(t, b, res_q or mod)]
+            )
+            for res_q in range(mod)
+        ]
     table = GammaTable(mod, tuple(gammas), q0)
     for q in range(q0, q0 + CHECK_PERIODS * mod + 1):
         direct = coset_min_direct(f, b, q)

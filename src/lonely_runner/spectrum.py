@@ -568,11 +568,15 @@ class CertifyReport:
 
 
 def classify_pairs(u: Vec, v: Vec, description: SpectrumDescription, bound: int):
-    """Yield (A, B, value, label) for every in-box pair; label names the matching description part."""
+    """Yield (A, B, value, label) for every in-box pair; label names the matching description
+    part, and depends only on the value, so each distinct value is classified once."""
     sweep = oracle_sweep(*normal_plane(u, v), bound)
     fams = [(p.alpha, p.beta) for p in description.progressions]
+    labels: dict = {}
     for (A, B), val in sorted(sweep.items()):
-        yield A, B, val, classify_value(description.d_value, fams, val)
+        if val not in labels:
+            labels[val] = classify_value(description.d_value, fams, val)
+        yield A, B, val, labels[val]
 
 
 def certify(u: Vec, v: Vec, description: SpectrumDescription, bound: int) -> CertifyReport:

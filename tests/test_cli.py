@@ -16,6 +16,9 @@ import lonely_runner
 from goldens import (
     FINITE_THREE_TENTHS,
     SECTOR_QUARTER,
+    SECTOR_TENTH_A,
+    SECTOR_TENTH_B,
+    SECTOR_THIRD,
     STRIP_QUARTER,
     STRIP_TENTH_A,
     STRIP_TENTH_B,
@@ -199,6 +202,14 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         wrong.write_text(json.dumps({**json.loads(out), key: bad}))
         code, _, err = run(capsys, "certify", "--basis", U2_BASIS, "--against", str(wrong))
         assert code == 2 and "is not a JSON" in err, (key, bad)
+    # a file is verified at its own certified_bound, so --bound with it is refused
+    good = tmp_path / "good.json"
+    good.write_text(out)
+    code, out, err = run(
+        capsys, "certify", "--basis", U2_BASIS, "--against", str(good), "--bound", "40"
+    )
+    assert (code, out) == (2, "")
+    assert "own certified_bound" in err
     # --against prints text only, so another format is refused before the file is read
     for fmt in ("json", "csv"):
         code, out, err = run(
@@ -310,24 +321,51 @@ def test_outputs_do_not_depend_on_the_sweep_cache(capsys, monkeypatch):
         assert run(capsys, cmd, "--basis", basis, *rest) == out, cmd
         assert out[0] == 0, cmd
 
-# sha256 of `spectrum --bound 20 --format json` on the planes whose records come from
-# strip half-lines or the finite box; re-recording one needs a reason in CHANGES.md
+# sha256 of `spectrum --bound 20 --format json` and of `certify --bound 12 --format csv` on
+# the golden planes; re-recording one needs a reason in CHANGES.md
+GOLDEN_IDS = [
+    "strip-quarter", "sector-quarter", "strip-tenth-a", "strip-tenth-b",
+    "sector-tenth-a", "sector-tenth-b", "sector-third", "finite-three-tenths",
+]
+GOLDENS = [
+    STRIP_QUARTER, SECTOR_QUARTER, STRIP_TENTH_A, STRIP_TENTH_B,
+    SECTOR_TENTH_A, SECTOR_TENTH_B, SECTOR_THIRD, FINITE_THREE_TENTHS,
+]
 SPECTRUM_DIGESTS = [
-    (STRIP_QUARTER, "366f88876387e97b02ca611d343464efb6025eb6026414e1261c03e595bb33e3"),
-    (STRIP_TENTH_A, "bf0f1b0170283e8a4d0e876596986cbb54201d1b7d4ce81c2b53192ce9f66d0d"),
-    (STRIP_TENTH_B, "6a7bc17453f6e396c3223bf5a2917345193aa8cdff1506cd49a2e12cba976083"),
-    (FINITE_THREE_TENTHS, "2c68542c4e3ffcf6b965c38f27c806bc60cc50b3f99750c426a16dd76437a35b"),
+    "366f88876387e97b02ca611d343464efb6025eb6026414e1261c03e595bb33e3",
+    "3ad9443e1d4743508c5af6c76731fa18c1a369f5609377a9a6cbee09ada70a1c",
+    "bf0f1b0170283e8a4d0e876596986cbb54201d1b7d4ce81c2b53192ce9f66d0d",
+    "6a7bc17453f6e396c3223bf5a2917345193aa8cdff1506cd49a2e12cba976083",
+    "4c56c4c3eaab1086e92c5f02b9479f51f265e43200b61d86478d959dd88a1cd3",
+    "3fcc5d2450712ee8918bb859c78af3b80bb151ce4d674e24110f28029345ec0a",
+    "bfc2570ce0a110a0ed2053f198f7cbccf21c87790597d46ed21caa51d48b0894",
+    "2c68542c4e3ffcf6b965c38f27c806bc60cc50b3f99750c426a16dd76437a35b",
+]
+CERTIFY_CSV_DIGESTS = [
+    "ac31300a602ab38f41fd004b6e829c09d2e41dc18e8992e5083e15633eaae288",
+    "acc3895df2b59039fdd9c2ba601b70c469bedb6c59a5a0c970ef4fbce37a578c",
+    "1f95a3160a8a9555d5be30c61e8856141da256b1533e876b764a9ef67965c9b3",
+    "829bc64e1922e2399dd44c37abab708e54b8a454185d0295a4382e9a2a9c456e",
+    "b67e70f5083ed7a4281dd6cb4787700e50d5abeadf129218856b78c72ee322ae",
+    "628ac68c7715b3bd09580c09b555e355494ee2fba681c09b2aaac56e34bf0adf",
+    "e4bfbdb0f6b6a418604357fe205cab12ae902b82c5e3d520cb381a00f5e62736",
+    "1a3695961059ff3180ec63440dad816756e083c7378f2555a9c96c478e7b7750",
 ]
 
 
-@pytest.mark.parametrize(
-    "plane, digest",
-    SPECTRUM_DIGESTS,
-    ids=["strip-quarter", "strip-tenth-a", "strip-tenth-b", "finite-three-tenths"],
-)
+@pytest.mark.parametrize("plane, digest", zip(GOLDENS, SPECTRUM_DIGESTS), ids=GOLDEN_IDS)
 def test_spectrum_json_golden_digest(capsys, plane, digest):
     code, out, _ = run(
         capsys, "spectrum", "--basis", format_basis(*plane), "--bound", "20", "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+@pytest.mark.parametrize("plane, digest", zip(GOLDENS, CERTIFY_CSV_DIGESTS), ids=GOLDEN_IDS)
+def test_certify_csv_golden_digest(capsys, plane, digest):
+    code, out, _ = run(
+        capsys, "certify", "--basis", format_basis(*plane), "--bound", "12", "--format", "csv"
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out

@@ -194,6 +194,78 @@ def test_build_restriction_matches_interval_walk_random():
         assert build_restriction(base, direction) == want, (base, direction)
 
 
+def runwalk_minimum_structure(f):
+    """Reference (flat pieces, isolated argmins) that assumes no canonical form: flat
+    pieces are maximal runs of segments with both ends at the minimum, and an isolated
+    minimum is a breakpoint at the minimum with neither adjacent segment flat."""
+    bps, vals, m = f.breakpoints, f.values, f.minimum
+    n = len(bps)
+    flat = [True] if n == 1 else [vals[i] == m and vals[(i + 1) % n] == m for i in range(n)]
+    pieces = [(F(0), F(1))] if all(flat) else []
+    for i in range(n):
+        if flat[i] and not flat[i - 1]:
+            j = i
+            while flat[j % n]:
+                j += 1
+            a, b = bps[i], bps[j % n]
+            pieces.append((a, b + 1 if b <= a else b))
+    iso = []
+    for i in range(n):
+        if vals[i] != m or flat[i] or flat[i - 1]:
+            continue
+        j = (i + 1) % n
+        t, t_prev, t_next = bps[i], bps[i - 1] - (1 if i == 0 else 0), bps[j] + (1 if j == 0 else 0)
+        lam_minus = (vals[i - 1] - m) / (t - t_prev)
+        lam_plus = (vals[j] - m) / (t_next - t)
+        iso.append((t, lam_minus, lam_plus, min(t - t_prev, t_next - t)))
+    return pieces, iso
+
+
+def assert_canonical(f):
+    """The slope changes at every breakpoint, and a constant is the single breakpoint 0."""
+    bps, vals = f.breakpoints, f.values
+    n = len(bps)
+    if n == 1:
+        assert bps == (F(0),)
+        return
+    for i in range(n):
+        t0 = bps[i - 1] - (1 if i == 0 else 0)
+        t2 = bps[(i + 1) % n] + (1 if i == n - 1 else 0)
+        left = (vals[i] - vals[i - 1]) * (t2 - bps[i])
+        assert left != (vals[(i + 1) % n] - vals[i]) * (bps[i] - t0), (f, i)
+
+
+def random_samples_pwl(rng):
+    """make_pwl of random samples on a few levels, so that flat runs at the minimum,
+    pieces across t = 0 and constants are common, with collinear samples added."""
+    den = rng.choice([12, 48])
+    ts = sorted({F(rng.randrange(den), den) for _ in range(rng.randint(1, 12))})
+    levels = [F(k, 12) for k in rng.sample(range(7), rng.choice([1, 2, 2, 3]))]
+    rough = CirclePWL(tuple(ts), tuple(rng.choice(levels) for _ in ts))
+    samples = list(zip(rough.breakpoints, rough.values))
+    for _ in range(rng.randint(0, 6)):
+        t = F(rng.randrange(4 * den), 4 * den)
+        samples.append((t, rough.evaluate(t)))
+    rng.shuffle(samples)
+    return make_pwl(samples)
+
+
+def test_minimum_structure_matches_runwalk_random():
+    rng = random.Random(41)
+    seen = dict.fromkeys(["constant", "across_zero", "several_flats", "isolated", "both"], 0)
+    for _ in range(3000):
+        f = random_samples_pwl(rng)
+        assert_canonical(f)
+        flats, iso = f.flat_pieces_at_min(), f.isolated_argmins()
+        assert (flats, iso) == runwalk_minimum_structure(f), f
+        seen["constant"] += len(f.breakpoints) == 1
+        seen["across_zero"] += any(b > 1 for _, b in flats)
+        seen["several_flats"] += len(flats) > 1
+        seen["isolated"] += bool(iso)
+        seen["both"] += bool(flats and iso)
+    assert min(seen.values()) >= 100, seen
+
+
 def test_build_restriction_matches_interval_walk_golden_slices():
     planes = (STRIP_QUARTER, SECTOR_QUARTER, SECTOR_THIRD, FINITE_THREE_TENTHS)
     for u, v in planes + TENTH_PLANES:
@@ -207,6 +279,10 @@ def test_build_restriction_matches_interval_walk_golden_slices():
                         want = interval_walk_restriction(base, s.u_prime)
                         got = build_restriction(base, s.u_prime)
                         assert got == want, (u, v, i, j, eps, ell)
+                        # the minimum structure read off the canonical form is the run walk's
+                        assert_canonical(got)
+                        minima = (got.flat_pieces_at_min(), got.isolated_argmins())
+                        assert minima == runwalk_minimum_structure(got), (u, v, i, j, eps, ell)
 
 
 def test_reflect_matches_negated_direction():

@@ -34,7 +34,7 @@ from lonely_runner.spectrum import (
     progression_index,
     relative_spectrum,
 )
-from lonely_runner.torus import oracle_sweep
+from lonely_runner.torus import normal_plane, oracle_sweep
 
 GOLDEN_PLANES = (
     STRIP_QUARTER,
@@ -544,6 +544,19 @@ def test_classify_value_sector_quarter():
     both = fams + [(Fr(16), Fr(20))]
     assert classify_value(d, both, d + Fr(1, 20)) == "progression(8,12)"
     assert classify_value(d, both[::-1], d + Fr(1, 20)) == "progression(16,20)"
+
+
+def test_certify_classifies_each_distinct_value_once(monkeypatch):
+    # a label depends only on the value, so certify classifies each distinct box value once
+    u, v = SECTOR_QUARTER
+    bound = 60
+    desc = relative_spectrum(u, v, bound)
+    calls = []
+    real = spectrum.classify_value
+    monkeypatch.setattr(spectrum, "classify_value", lambda *a: calls.append(a) or real(*a))
+    report = certify(u, v, desc, bound)
+    values = set(oracle_sweep(*normal_plane(u, v), bound).values())
+    assert len(calls) == len(values) < report.total
 
 
 def test_large_m_prime_plane_shares_sectors():
