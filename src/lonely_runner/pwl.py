@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,10 +12,12 @@ from ._kernels import UnsupportedRequest
 HALF = Fraction(1, 2)
 CHECK_PERIODS = 4  # a gamma table is compared with direct coset minima over this many periods past q0
 
-# most grid points one gamma table's self-check may evaluate (the sum of q over its window):
-# 10x the most any table of the benchmark takes (116,748, on 2,-2,3;0,-1,-3 with q0 1,658
-# and modulus 17) and 42x the test suite's (27,985); at about 26 us a point on a 2-vCPU VM
-# the largest table allowed checks in about 30 s, while 5,-3,2;1,4,-3 has one of 10,567,095
+# most grid points one gamma table's self-check window may span (the sum of q over
+# q0 .. q0 + CHECK_PERIODS * modulus): 10x the most any table of the benchmark spans
+# (116,748, on 2,-2,3;0,-1,-3 with q0 1,658 and modulus 17) and 42x the test suite's
+# (27,985), while 5,-3,2;1,4,-3 has one of 10,567,095. It caps the window, not the
+# evaluations: each q of the window costs one direct minimum, O(breakpoints) whatever
+# q is, and a window within the budget holds at most 1,548 values of q
 SELFCHECK_BUDGET = 1_200_000
 
 
@@ -44,24 +45,6 @@ class CirclePWL:
             for i in range(len(self.breakpoints) - 1)
         ):
             raise ValueError("breakpoints must be strictly increasing")
-
-    def evaluate(self, t: Fraction | int) -> Fraction:
-        t = Fraction(t) % 1
-        bps, vals = self.breakpoints, self.values
-        n = len(bps)
-        if n == 1:
-            return vals[0]
-        i = bisect.bisect_right(bps, t) - 1
-        if i < 0:
-            # t before the first breakpoint: wraparound segment from the last one
-            i = n - 1
-            t0, v0 = bps[i] - 1, vals[i]
-        else:
-            t0, v0 = bps[i], vals[i]
-        j = (i + 1) % n
-        t1 = bps[j] if bps[j] > t0 else bps[j] + 1
-        v1 = vals[j]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
     @property
     def minimum(self) -> Fraction:
@@ -171,11 +154,31 @@ def approx(tau: Fraction, b: Fraction, q: int) -> tuple[int, int, int]:
 
 
 def coset_min_direct(f: CirclePWL, b: Fraction, q: int) -> Fraction:
-    """Exact minimum of f over the q points (b + r)/q, r = 0..q-1."""
+    """Exact minimum of f over the grid (b + Z)/q, q points mod 1.
+
+    In the coordinate s = q*t - b the grid points are the integers, and f is linear on
+    each piece [s0, s1] between adjacent breakpoints (the last piece wraps past 1). A
+    piece's least grid value sits at its first integer ceil(s0) when it rises and at its
+    last integer floor(s1) when it falls, so each piece gives at most one candidate, and
+    none when that integer lies outside it or both its ends lie at or above the best so
+    far: O(breakpoints) work, whatever q is.
+    """
     if q < 1:
         raise ValueError("q must be positive")
-    b = Fraction(b)
-    return min(f.evaluate(Fraction(b + r, q)) for r in range(q))
+    bps, vals = f.breakpoints, f.values
+    n = len(bps)
+    best = max(vals)  # no grid value lies above it, so a piece flat at it needs no visit
+    for i in range(n):
+        j = (i + 1) % n
+        v0, v1 = vals[i], vals[j]
+        if min(v0, v1) >= best:
+            continue
+        s0 = q * bps[i] - b
+        s1 = q * (bps[j] + (j == 0)) - b
+        r = math.ceil(s0) if v1 >= v0 else math.floor(s1)
+        if s0 <= r <= s1:
+            best = min(best, v0 + (v1 - v0) * (r - s0) / (s1 - s0))
+    return best
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,7 @@ class GammaTable:
 
 def table_window(f: CirclePWL, b: Fraction) -> tuple[int, int]:
     """(q0, modulus) of the coset-minimum table of f against (b + Z)/q. A table whose
-    self-check, q = q0 .. q0 + CHECK_PERIODS * modulus, would evaluate more than
+    self-check window, q = q0 .. q0 + CHECK_PERIODS * modulus, spans more than
     SELFCHECK_BUDGET grid points (the sum of q over that window) is refused."""
     flats = f.flat_pieces_at_min()
     if flats:

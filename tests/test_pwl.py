@@ -12,6 +12,7 @@ from goldens import (
     STRIP_QUARTER,
     TENTH_PLANES,
 )
+from pointwise import evaluate
 from lonely_runner import pwl
 from lonely_runner._kernels import UnsupportedRequest
 from lonely_runner.pwl import (
@@ -24,9 +25,12 @@ from lonely_runner.pwl import (
     make_pwl,
 )
 from lonely_runner.slices import slice_structure
+from lonely_runner.spectrum import class_setup
 from lonely_runner.torus import normal_plane
 
 F = Fraction
+
+GOLDEN_PLANES = (STRIP_QUARTER, SECTOR_QUARTER, SECTOR_THIRD, FINITE_THREE_TENTHS, *TENTH_PLANES)
 
 
 def argmin_pieces(f):
@@ -68,13 +72,13 @@ def test_make_pwl_drops_collinear_points_random():
         samples = list(zip(ts, vals))
         for _ in range(rng.randint(0, 8)):
             t = F(rng.randint(0, 479), 480)
-            samples.append((t, f.evaluate(t)))
+            samples.append((t, evaluate(f, t)))
         rng.shuffle(samples)
         g = make_pwl(samples)
         for k in range(96):
-            assert g.evaluate(F(k, 96)) == f.evaluate(F(k, 96))
+            assert evaluate(g, F(k, 96)) == evaluate(f, F(k, 96))
         for t, _ in samples:
-            assert g.evaluate(t) == f.evaluate(t)
+            assert evaluate(g, t) == evaluate(f, t)
         if len(set(vals)) == 1:
             assert (g.breakpoints, g.values) == ((F(0),), (vals[0],))
             continue
@@ -92,10 +96,10 @@ def test_make_pwl_drops_collinear_points_random():
 
 def test_evaluate_wraparound():
     f = CirclePWL((F(1, 4), F(3, 4)), (F(0), F(1, 2)))
-    assert f.evaluate(F(1, 4)) == 0
-    assert f.evaluate(F(1, 2)) == F(1, 4)
-    assert f.evaluate(0) == F(1, 4)
-    assert f.evaluate(F(7, 8)) == F(3, 8)
+    assert evaluate(f, F(1, 4)) == 0
+    assert evaluate(f, F(1, 2)) == F(1, 4)
+    assert evaluate(f, 0) == F(1, 4)
+    assert evaluate(f, F(7, 8)) == F(3, 8)
 
 
 def test_build_restriction_speeds_1123():
@@ -140,7 +144,7 @@ def test_build_restriction_matches_pointwise_random():
             expect = max(
                 dist_to_half(base[k] + t * direction[k]) for k in range(n)
             )
-            assert f.evaluate(t) == expect
+            assert evaluate(f, t) == expect
 
 
 def interval_walk_restriction(base, direction):
@@ -245,7 +249,7 @@ def random_samples_pwl(rng):
     samples = list(zip(rough.breakpoints, rough.values))
     for _ in range(rng.randint(0, 6)):
         t = F(rng.randrange(4 * den), 4 * den)
-        samples.append((t, rough.evaluate(t)))
+        samples.append((t, evaluate(rough, t)))
     rng.shuffle(samples)
     return make_pwl(samples)
 
@@ -267,8 +271,7 @@ def test_minimum_structure_matches_runwalk_random():
 
 
 def test_build_restriction_matches_interval_walk_golden_slices():
-    planes = (STRIP_QUARTER, SECTOR_QUARTER, SECTOR_THIRD, FINITE_THREE_TENTHS)
-    for u, v in planes + TENTH_PLANES:
+    for u, v in GOLDEN_PLANES:
         u, v = normal_plane(u, v)
         for i in range(len(u)):
             for j in range(i + 1, len(u)):
@@ -332,6 +335,75 @@ def test_coset_min_direct_constant():
     assert coset_min_direct(f, F(1, 7), 5) == F(1, 3)
 
 
+def grid_min(f, b, q):
+    """Brute-force coset minimum: f evaluated at every one of the q points (b + r)/q."""
+    return min(evaluate(f, (b + r) / F(q)) for r in range(q))
+
+
+def hand_built_pwl(rng):
+    """A CirclePWL built without make_pwl: random breakpoints and values, often with
+    collinear breakpoints added on its pieces, or a single breakpoint anywhere."""
+    den = rng.choice([5, 12, 60])
+    if rng.random() < 0.15:
+        return CirclePWL((F(rng.randrange(den), den),), (F(rng.randint(0, 6), 12),))
+    ts = sorted({F(rng.randrange(den), den) for _ in range(rng.randint(2, 8))})
+    f = CirclePWL(tuple(ts), tuple(F(rng.randint(0, 6), 12) for _ in ts))
+    extra = {F(rng.randrange(7 * den), 7 * den) for _ in range(rng.randint(0, 4))} - set(ts)
+    if not extra:
+        return f
+    pts = sorted([*zip(ts, f.values), *((t, evaluate(f, t)) for t in extra)])
+    return CirclePWL(tuple(t for t, _ in pts), tuple(v for _, v in pts))
+
+
+def test_coset_min_direct_matches_full_grid_random():
+    rng = random.Random(53)
+    seen = dict.fromkeys(
+        ["restriction", "make_pwl", "hand_built", "collinear", "single", "b_negative", "b_den_big", "q_past_3n"], 0
+    )
+    for k in range(3300):
+        kind = ("restriction", "make_pwl", "hand_built")[k % 3]
+        if kind == "restriction":
+            n = rng.randint(1, 3)
+            direction = (0,) * n
+            while not any(direction):
+                direction = tuple(rng.randint(-3, 3) for _ in range(n))
+            f = build_restriction(tuple(F(rng.randint(0, 11), 12) for _ in range(n)), direction)
+        elif kind == "make_pwl":
+            f = random_samples_pwl(rng)
+        else:
+            f = hand_built_pwl(rng)
+        nb = len(f.breakpoints)
+        den = rng.choice([1, 2, 7, 60, 10**6 + 3, 2**40])
+        b = F(rng.randint(-3 * den, 3 * den), den)
+        q = rng.randint(1, 4 * nb + 4)
+        assert coset_min_direct(f, b, q) == grid_min(f, b, q), (f, b, q)
+        seen[kind] += 1
+        seen["collinear"] += nb > 1 and make_pwl(list(zip(f.breakpoints, f.values))) != f
+        seen["single"] += nb == 1
+        seen["b_negative"] += b < 0
+        seen["b_den_big"] += b.denominator > 10**5
+        seen["q_past_3n"] += q > 3 * nb
+    assert min(seen.values()) >= 100, seen
+
+
+def test_coset_min_direct_matches_full_grid_golden_windows():
+    # every slice restriction of the goldens, against each offset it is read at, at the
+    # q0 and the last q of that table window; the critical ones are the tables built
+    for plane in GOLDEN_PLANES:
+        setup = class_setup(*plane)
+        windows = {c._coset_key(a): c.f for c in setup.comps for a in range(c.K)}
+        tables = {c._coset_key(a) for c in setup.critical for a in range(c.K)}
+        for key, f in windows.items():
+            b = F(key[1], key[2])
+            try:
+                q0, mod = pwl.table_window(f, b)
+            except UnsupportedRequest:
+                assert key not in tables
+                continue
+            for q in (q0, q0 + pwl.CHECK_PERIODS * mod):
+                assert coset_min_direct(f, b, q) == grid_min(f, b, q), (plane, key, q)
+
+
 def test_gamma_table_speeds_1123():
     f = build_restriction((0, 0, 0, 0), (1, 1, 2, 3))
     table = gamma_table(f, F(0))
@@ -350,7 +422,8 @@ def test_gamma_table_flat_route():
 
 
 def test_gamma_table_selfcheck_budget_counts_grid_points(monkeypatch):
-    # the self-check evaluates q grid points for each q in q0 .. q0 + CHECK_PERIODS * modulus
+    # the budget caps the window, not the evaluations: it counts q grid points for each q
+    # in q0 .. q0 + CHECK_PERIODS * modulus, though each q costs one per-piece minimum
     f = build_restriction((0, 0, 0, 0), (1, 1, 2, 3))
     q0, mod = pwl.table_window(f, F(0))
     points = sum(range(q0, q0 + pwl.CHECK_PERIODS * mod + 1))
@@ -360,6 +433,24 @@ def test_gamma_table_selfcheck_budget_counts_grid_points(monkeypatch):
     monkeypatch.setattr(pwl, "SELFCHECK_BUDGET", points)
     table = gamma_table(f, F(0))
     assert (table.q0, table.modulus) == (q0, mod)
+
+
+@pytest.mark.parametrize("residue, corrupt", [(r, "larger") for r in range(4)] + [(r, "zero") for r in (1, 2, 3)])
+def test_gamma_table_selfcheck_rejects_one_wrong_residue(monkeypatch, residue, corrupt):
+    # the table of speeds 1,1,2,3 has modulus 4 and gamma (0, 1/4, 1/2, 3/4); wrong
+    # approx residues at one q mod 4, making that gamma larger or 0, fail the self-check
+    f = build_restriction((0, 0, 0, 0), (1, 1, 2, 3))
+    real = pwl.approx
+
+    def wrong(tau, b, q):
+        rm, rp, mod = real(tau, b, q)
+        if q % 4 != residue:
+            return rm, rp, mod
+        return (rm + 1, rp + 1, mod) if corrupt == "larger" else (0, 0, mod)
+
+    monkeypatch.setattr(pwl, "approx", wrong)
+    with pytest.raises(RuntimeError, match="^gamma table self-check failed$"):
+        gamma_table(f, F(0))
 
 
 def test_gamma_table_random_restrictions_certify():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from goldens import FINITE_THREE_TENTHS
+from pointwise import evaluate
 from lonely_runner import slices
 from lonely_runner._kernels import UnsupportedRequest
 from lonely_runner.exact import minors2, saturate_plane
@@ -180,9 +181,9 @@ def test_restrictions_match_distance_along_components():
                 for k in range(4)
             ]
             if ell <= s.K // 2:
-                got = s.restrictions[ell].evaluate(t)
+                got = evaluate(s.restrictions[ell], t)
             else:
-                got = s.restrictions[s.K - ell].evaluate(-t)
+                got = evaluate(s.restrictions[s.K - ell], -t)
             assert got == max(dist_to_half(c) for c in pt)
 
 
