@@ -12,9 +12,10 @@ import numpy as np
 MAX_ABS = 500_000_000
 
 # under the numpy backend a row of more than this many (d // 2) * n steps is vectorized and a
-# smaller one loops, where numpy's per-call overhead costs more; on the benchmark's nine largest
-# sweeps (2-vCPU VM, best of 6) cutoffs 100-200 took 4.1 s, 0 (every row vectorized) 4.7 s and
-# every row looped 4.9 s; benchmarks/bench_oracle.py --cutoff measures it again
+# smaller one loops, where numpy's per-call overhead costs more; on bench_oracle.py's four
+# planes at bounds 60 and 150 (2-vCPU VM, best of 3) no cutoff among 0, 50, 100, 200, 400,
+# 800 and every row looped beat it on every plane; benchmarks/bench_oracle.py --cutoff
+# measures it again
 ROW_CUTOFF = 200
 
 # most steps one line of n speeds may take, n * (n - 1) for its pair moduli and (d // 2) * n
@@ -160,10 +161,16 @@ def sweep_raw(
     u: tuple[int, ...], v: tuple[int, ...], bound: int, *, inner: int = 0
 ) -> list[tuple[int, int, int, int]]:
     """Rows (A, B, num, den) over the parameter box, skipping every pair with
-    max(A, |B|) <= inner; den = 0 marks an improper line."""
+    max(A, |B|) <= inner; den = 0 marks an improper line.
+
+    Each distinct set of absolute speeds is scanned once per call: _d_line's result, its
+    steps and any refusal depend only on that set (the moduli are sorted, each row takes a
+    max over the speeds, and rows is fixed for the call), so a line whose set was already
+    scanned reuses its (num, den)."""
     if (bound + 1) * (2 * bound + 1) > BOX_BUDGET:
         raise UnsupportedRequest(f"sweep box of bound {bound} holds more than {BOX_BUDGET} points")
     rows = _rows_for(bound * max(abs(a) + abs(b) for a, b in zip(u, v)))
+    seen = {}  # sorted absolute speeds -> raw (num, den)
     out = []
     for A in range(bound + 1):
         for B in range(-bound, bound + 1):
@@ -177,5 +184,9 @@ def sweep_raw(
             if len(wd) == 1:
                 out.append((A, B, 0, 1))
             else:
-                out.append((A, B, *_d_line(rows, wd)))
+                key = tuple(sorted(wd))
+                raw = seen.get(key)
+                if raw is None:
+                    raw = seen[key] = _d_line(rows, wd)
+                out.append((A, B, *raw))
     return out

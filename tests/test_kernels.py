@@ -1,5 +1,6 @@
 """Backend agreement tests for the brute-force line kernels."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -107,3 +108,57 @@ def test_sweep_raw_box_shape(monkeypatch):
     import math
 
     assert all(math.gcd(A, B) == 1 for A, B in keys)
+
+
+@pytest.mark.parametrize("mode,cutoff", [("python", None), ("numpy", None), ("numpy", 0)])
+def test_sweep_raw_scans_each_speed_set_once(monkeypatch, mode, cutoff):
+    monkeypatch.setenv("LONELY_RUNNER_KERNEL", mode)
+    if cutoff is not None:
+        monkeypatch.setattr(_kernels, "ROW_CUTOFF", cutoff)
+    cold = _kernels._d_line
+    calls = []
+
+    def counting(rows, w):
+        calls.append(tuple(sorted(w)))
+        return cold(rows, w)
+
+    monkeypatch.setattr(_kernels, "_d_line", counting)
+    for u, v in GOLDEN_PLANES:
+        kind = _kernels._rows_for(12 * max(abs(a) + abs(b) for a, b in zip(u, v)))
+        for inner in (0, 6):
+            del calls[:]
+            rows = _kernels.sweep_raw(u, v, 12, inner=inner)
+            sets = set()
+            for A, B, *d in rows:
+                w = [A * a + B * b for a, b in zip(u, v)]
+                wd = _kernels.dedup_speeds(w)
+                if 0 in w:
+                    assert d == [0, 0]
+                elif len(wd) == 1:
+                    assert d == [0, 1]
+                else:
+                    assert tuple(d) == cold(kind, wd), (u, v, A, B)
+                    sets.add(tuple(sorted(wd)))
+            assert sorted(calls) == sorted(sets), (u, v, inner)
+            # the memo lives for one call: a second sweep scans every set again
+            assert _kernels.sweep_raw(u, v, 12, inner=inner) == rows
+            assert len(calls) == 2 * len(sets), (u, v, inner)
+
+
+@pytest.mark.parametrize("cutoff", [0, 10**18])
+def test_d_line_raw_ignores_speed_order(monkeypatch, cutoff):
+    # sweep_raw keys its memo by the sorted speeds, so a line's raw (num, den) must not
+    # depend on their order; every permutation for n <= 5, a seeded sample beyond
+    rng = random.Random(303)
+    lines = [rng.sample(range(1, 301), n) for n in range(2, 8) for _ in range(4)]
+    monkeypatch.setattr(_kernels, "ROW_CUTOFF", cutoff)
+    for mode in ("python", "numpy"):
+        monkeypatch.setenv("LONELY_RUNNER_KERNEL", mode)
+        for w in lines:
+            if len(w) <= 5:
+                orders = list(itertools.permutations(w))
+            else:
+                orders = [tuple(rng.sample(w, len(w))) for _ in range(40)]
+            assert {_kernels.d_line_raw(list(p)) for p in orders} == {
+                _kernels.d_line_raw(sorted(w))
+            }, (mode, w)

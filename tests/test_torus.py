@@ -235,3 +235,42 @@ def test_oracle_sweep_one_entry_per_plane(monkeypatch):
     with pytest.raises(_kernels.UnsupportedRequest):
         oracle_sweep(u, v, 20)
     assert torus._SWEEP_CACHE[(u, v)] is entry
+
+
+def test_oracle_sweep_refuses_inside_a_memoized_shell(monkeypatch):
+    # the least WORK_BUDGET that lets the shell between bounds 12 and 16 of a golden plane
+    # through; one below it, its heaviest line is refused mid-sweep, after sweep_raw has
+    # already reused the scans of repeated speed sets
+    u, v = (1, 0, 1, 1), (1, 1, 0, 2)
+    shell = _kernels.sweep_raw(u, v, 16, inner=12)
+    sets = {
+        tuple(sorted(_kernels.dedup_speeds([A * a + B * b for a, b in zip(u, v)])))
+        for A, B, _, den in shell
+        if den
+    }
+    assert len(sets) < len(shell)
+
+    def refused(budget):
+        monkeypatch.setattr(_kernels, "WORK_BUDGET", budget)
+        try:
+            _kernels.sweep_raw(u, v, 16, inner=12)
+        except _kernels.UnsupportedRequest:
+            return True
+        return False
+
+    budget = _kernels.WORK_BUDGET
+    lo, hi = 1, budget
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if refused(mid) else (lo, mid)
+    monkeypatch.setattr(torus, "_SWEEP_CACHE", {})
+    monkeypatch.setattr(_kernels, "WORK_BUDGET", budget)
+    oracle_sweep(u, v, 12)
+    entry = torus._SWEEP_CACHE[(u, v)]
+    monkeypatch.setattr(_kernels, "WORK_BUDGET", lo - 1)
+    with pytest.raises(_kernels.UnsupportedRequest, match="scan steps"):
+        oracle_sweep(u, v, 16)
+    assert torus._SWEEP_CACHE[(u, v)] is entry
+    monkeypatch.setattr(_kernels, "WORK_BUDGET", lo)
+    cold = {(A, B): None if den == 0 else F(num, den) for A, B, num, den in shell}
+    assert {k: x for k, x in oracle_sweep(u, v, 16).items() if max(k[0], abs(k[1])) > 12} == cold
