@@ -12,6 +12,7 @@ from fractions import Fraction
 from .catalog import UnsupportedRequest, enumerate_2d_subtori
 from .locus import finiteness, zero_locus
 from .spectrum import (
+    DEFAULT_BOUND,
     Progression,
     SpectrumAnalysis,
     SpectrumDescription,
@@ -261,7 +262,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             if left[key] != right[key]:
                 print(f"mismatch {key}: file {left[key]!r} vs recomputed {right[key]!r}")
         return 1
-    bound = args.bound if args.bound is not None else 200
+    bound = args.bound if args.bound is not None else DEFAULT_BOUND
     desc = SpectrumAnalysis(u, v).description(bound)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
@@ -332,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_s = sub.add_parser("spectrum", help="certified description of the order-1 spectrum")
     p_s.add_argument("--basis", type=parse_basis, required=True)
-    p_s.add_argument("--bound", type=parse_bound, default=200, help="certification box bound")
+    p_s.add_argument(
+        "--bound", type=parse_bound, default=DEFAULT_BOUND, help="certification box bound"
+    )
     p_s.add_argument("--format", choices=("text", "json"), default="json")
     p_s.add_argument("--trace", action="store_true", help="dump per-class records to stderr")
 

@@ -15,6 +15,7 @@ from .slices import slice_structure
 from .torus import normal_plane, oracle_sweep
 
 WITNESS_RANGE = 11  # progression indices 0..10 are checked for witnesses
+DEFAULT_BOUND = 200  # certification box bound when none is given
 
 # most class records one analysis may build: 3.1x the test suite's most (79,800 half-line
 # records on 1,1,-3,0,-2;-1,-3,-2,1,2) and 868x the benchmark's (288); at about 100 us a
@@ -30,7 +31,6 @@ def _sign(x: int) -> int:
 class Component:
     """Connected component of a diagonal slice with its transverse linear forms."""
 
-    idx: int
     i: int
     j: int
     eps: int
@@ -124,9 +124,7 @@ def class_setup(u: Vec, v: Vec) -> ClassSetup:
                 z1, z2, z3, z4 = s.z
                 for ell, f in enumerate(s.restrictions):
                     rid = rids.setdefault(f, len(rids))
-                    comps.append(
-                        Component(len(comps), i, j, eps, ell, s.K, z2, z4, z1, z3, f, rid)
-                    )
+                    comps.append(Component(i, j, eps, ell, s.K, z2, z4, z1, z3, f, rid))
     minima = [c.f.minimum for c in comps]
     d = min(minima)
     critical = tuple(c for c, m in zip(comps, minima) if m == d)
@@ -207,9 +205,8 @@ def halfline_analysis(
         if qd != 0:
             sg = _sign(qd)
             growing.append((c, sg, sg * c.q_of(bA, bB), abs(qd), abs(qd) * mt))
-    # (q0 - ch) * weight orders the thresholds (q0 - ch) / ph in integers
+    # (q0 - ch) * (ph_lcm // ph) orders the thresholds (q0 - ch) / ph in integers
     ph_lcm = math.lcm(*(g[4] for g in growing))
-    weight = {c.idx: ph_lcm // ph for c, *_, ph in growing}
     records = []
     for res in range(mt):
         A0, B0 = bA + res * dA, bB + res * dB
@@ -229,7 +226,7 @@ def halfline_analysis(
             cands.append((c, gam, ph, qb + res * step, q0))
         zero = [t for t in cands if t[1] == 0]
         if zero:
-            c, gam, ph, ch, q0 = min(zero, key=lambda t: (t[4] - t[3]) * weight[t[0].idx])
+            c, gam, ph, ch, q0 = min(zero, key=lambda t: (t[4] - t[3]) * (ph_lcm // t[2]))
             s0 = max(0, -((ch - q0) // ph))
             records.append(LineClassRecord("base", s0=s0, winner=c.key))
             continue
@@ -263,47 +260,34 @@ def _clockwise_key(ray: tuple[int, int]):
 
 def sector_decomposition(setup: ClassSetup, gammas: tuple) -> tuple[SectorRecord, ...]:
     """Merged sector records of the residue classes mod m_prime whose coset gammas are
-    gammas, one per critical component and sign (+1, then -1)."""
-    gam = dict(zip(((c.idx, dl) for c in setup.critical for dl in (1, -1)), gammas))
-    rays = {(0, 1), (0, -1)}
-    for c in setup.critical:
-        r = primitive_kernel(c.E, c.F)
-        if r[0] > 0:
-            rays.add(r)
-    for c1, c2 in combinations(setup.critical, 2):
-        for d1 in (1, -1):
-            for d2 in (1, -1):
-                g1 = gam[(c1.idx, d1)]
-                g2 = gam[(c2.idx, d2)]
-                if g1 == 0 or g2 == 0:
-                    continue
-                pe = g2 * d1 * c1.E - g1 * d2 * c2.E
-                pf = g2 * d1 * c1.F - g1 * d2 * c2.F
-                if pe == 0 and pf == 0:
-                    continue
-                den = math.lcm(pe.denominator, pf.denominator)
-                r = primitive_kernel(int(pe * den), int(pf * den))
-                if r[0] > 0:
-                    rays.add(r)
+    gammas, one per critical component and sign (+1, then -1). Each distinct signed offset
+    form (E, F, gamma) is labelled by the first component giving it."""
+    forms: dict[tuple, tuple] = {}
+    for (c, dl), g in zip(((c, dl) for c in setup.critical for dl in (1, -1)), gammas):
+        forms.setdefault((dl * c.E, dl * c.F, g), c.key)
+    # primitive_kernel orients its ray into A > 0, or gives (0, 1)
+    rays = {(0, 1), (0, -1)} | {primitive_kernel(c.E, c.F) for c in setup.critical}
+    live = [(E, F, g.numerator, g.denominator) for E, F, g in forms if g]
+    for (E1, F1, n1, m1), (E2, F2, n2, m2) in combinations(live, 2):
+        # the forms tie where (gamma2 * (E1, F1) - gamma1 * (E2, F2)) . (A, B) = 0
+        pe, pf = n2 * m1 * E1 - n1 * m2 * E2, n2 * m1 * F1 - n1 * m2 * F2
+        if pe or pf:
+            rays.add(primitive_kernel(pe, pf))
     ordered = sorted(rays, key=_clockwise_key)
     recs = []
     for r1, r2 in zip(ordered, ordered[1:]):
         da, db = r1[0] + r2[0], r1[1] + r2[1]
-        best = None
-        for c in setup.critical:
-            qm = c.q_of(da, db)
-            assert qm != 0, "kernel ray crosses a sector interior"
-            delta = _sign(qm)
-            g = gam[(c.idx, delta)]
-            key = (g / (delta * qm), g, delta * c.E, delta * c.F)
-            if best is None or key < best[0]:
-                best = (key, c, delta, g)
-        _, cw, dw, gw = best
+        cands = []
+        for E, F, g in forms:
+            q = E * da + F * db
+            assert q != 0, "kernel ray crosses a sector interior"
+            if q > 0:
+                cands.append((g / q, g, E, F))
+        _, gw, E, F = min(cands)
         if gw == 0:
-            recs.append(SectorRecord(r1, r2, 0, winner=cw.key))
+            recs.append(SectorRecord(r1, r2, 0, winner=forms[E, F, gw]))
         else:
-            form = (dw * cw.E, dw * cw.F)
-            recs.append(SectorRecord(r1, r2, 1, gamma=gw, form=form, winner=cw.key))
+            recs.append(SectorRecord(r1, r2, 1, gamma=gw, form=(E, F), winner=forms[E, F, gw]))
     merged = [recs[0]]
     for r in recs[1:]:
         p = merged[-1]
@@ -376,10 +360,11 @@ def _absorb(fams: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fract
 
 
 def _value_index(sweep: dict) -> dict:
+    """Least in-box pair of each swept value."""
     index: dict = {}
     for pair, val in sweep.items():
         if val is not None:
-            index.setdefault(val, []).append(pair)
+            index[val] = min(pair, index.get(val, pair))
     return index
 
 
@@ -388,10 +373,8 @@ def _witnesses(d: Fraction, alpha: Fraction, beta: Fraction, index: dict):
     unwit = []
     for s in range(WITNESS_RANGE):
         val = d + 1 / (alpha * s + beta)
-        pairs = index.get(val)
-        if pairs:
-            A, B = min(pairs)
-            wit.append((s, A, B))
+        if val in index:
+            wit.append((s, *index[val]))
         else:
             unwit.append((s, "no witness within certification bound"))
     return tuple(wit), tuple(unwit)
@@ -440,6 +423,8 @@ class SpectrumAnalysis:
         # (aleph, beth) mod m', or m' when that is 0. They are collected as integers (gamma's
         # numerator and denominator, slope, const), so each distinct family is divided once
         raw: set[tuple[int, int, int, int]] = set()
+        # a formula reaches d on a flat component's strip or on a kappa-0 sector
+        self.base_reachable = bool(s.flats)
         if self.route == "lines":
             g, x, y = gcd_ext(E, F)
             assert g == 1
@@ -466,18 +451,16 @@ class SpectrumAnalysis:
                     recs = shared.get(gams)
                     if recs is None:
                         recs = shared[gams] = sector_decomposition(s, gams)
+                        # the kappa dichotomy: every record of a class shares its kappa
+                        self.base_reachable |= recs[0].kappa == 0
                     self.sector_records[(aleph, beth)] = recs
                     for r in recs:
                         if r.kappa == 1:
                             c0 = (r.form[0] * aleph + r.form[1] * beth) % mp or mp
                             raw.add((r.gamma.numerator, r.gamma.denominator, mp, c0))
         self.families = {(Fraction(a * gd, gn), Fraction(b * gd, gn)) for gn, gd, a, b in raw}
-        # a formula reaches d on a flat component's strip or on a kappa-0 sector
-        self.base_reachable = bool(s.flats) or any(
-            r.kappa == 0 for recs in self.sector_records.values() for r in recs
-        )
 
-    def description(self, certify_bound: int = 200) -> SpectrumDescription:
+    def description(self, certify_bound: int = DEFAULT_BOUND) -> SpectrumDescription:
         s = self.setup
         d = s.d_value
         fams = sorted({(a, normalize_beta(a, b, d)) for a, b in self.families})
@@ -490,7 +473,7 @@ class SpectrumAnalysis:
             progs.append(Progression(a, b, wit, unwit))
         base_att = d in index or self.base_reachable
         exceptional = [
-            (val, min(index[val]))
+            (val, index[val])
             for val in sorted(index)
             if classify_value(d, fams, val) == "exceptional"
         ]
@@ -550,7 +533,7 @@ class SpectrumAnalysis:
         return None
 
 
-def relative_spectrum(u: Vec, v: Vec, certify_bound: int = 200) -> SpectrumDescription:
+def relative_spectrum(u: Vec, v: Vec, certify_bound: int = DEFAULT_BOUND) -> SpectrumDescription:
     """Certified description of the order-1 relative spectrum of span(u, v)."""
     return SpectrumAnalysis(u, v).description(certify_bound)
 

@@ -1,5 +1,6 @@
 """Tests for residue-class analysis and relative spectrum descriptions."""
 
+import hashlib
 import math
 import random
 import time
@@ -35,6 +36,8 @@ from lonely_runner.spectrum import (
     relative_spectrum,
 )
 from lonely_runner.torus import normal_plane, oracle_sweep
+
+GENERIC = ((2, -2, 3), (0, -1, -3))
 
 GOLDEN_PLANES = (
     STRIP_QUARTER,
@@ -208,7 +211,7 @@ SECTOR_QUARTER_TABLE = {
         (SECTOR_QUARTER, "sector", 12),
         (STRIP_QUARTER, "lines", 8),
         (STRIP_TENTH_A, "lines", 100),
-        (((2, -2, 3), (0, -1, -3)), "sector", 288),
+        (GENERIC, "sector", 288),
         (FINITE_THREE_TENTHS, "finite", 0),
     ],
 )
@@ -314,6 +317,48 @@ def test_sector_offsets_match_oracle():
         assert (A % 5, B % 5) == (1, 4)
         gamma = {(3, 1): Fr(4, 5), (-1, -2): Fr(2, 5), (1, 2): Fr(3, 5)}[form]
         assert sweep[(A, B)] == d + gamma / (form[0] * A + form[1] * B)
+
+
+# directions checked, and the SHA-256 of repr(sorted(sector_records.items())) recorded
+# before sector_decomposition compared signed offset forms instead of component pairs
+SECTOR_ENVELOPE_CASES = [
+    (SECTOR_QUARTER, 74, "bff265da1adef82e5a03eb55d4f494a41004acbf1f07f22d9cd1a94a72aca577"),
+    (SECTOR_TENTH_A, 152, "717a39f354399fd2d63605528d1ba5e76b8735fbe662de4eae282369323cf2da"),
+    (SECTOR_TENTH_B, 182, "d9f7973e03ab4aecd68fafab2d344aac4b3de441516b19dea7974736d53a48e4"),
+    (SECTOR_THIRD, 97, "c2dc777ffe66cc227406535cfd595c57087f7762209c2b8f35f516db6fcda923"),
+    (GENERIC, 2598, "71b68228ceda5de356566c966f2ed461c36105455e6e43882852c5314fca2d9c"),
+]
+
+
+@pytest.mark.parametrize(
+    "plane, directions, digest",
+    SECTOR_ENVELOPE_CASES,
+    ids=["sector_quarter", "sector_tenth_a", "sector_tenth_b", "sector_third", "generic"],
+)
+def test_sector_records_are_the_lower_envelope(plane, directions, digest):
+    # inside each merged sector the record's offset is the least gamma(c, sign q) / |q|
+    # over the critical components; kappa 0 means the least is 0
+    ana = SpectrumAnalysis(*plane)
+    s = ana.setup
+    records = sorted(ana.sector_records.items())
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
+    checked = 0
+    for (aleph, beth), recs in records:
+        for r in recs:
+            for k1, k2 in [(1, 1), (1, 3), (3, 1), (2, 5)]:
+                A = k1 * r.start_ray[0] + k2 * r.end_ray[0]
+                B = k1 * r.start_ray[1] + k2 * r.end_ray[1]
+                qs = [c.q_of(A, B) for c in s.critical]
+                if 0 in qs:
+                    continue
+                least = min(
+                    s.coset(c, aleph, beth, 1 if q > 0 else -1)[0] / abs(q)
+                    for c, q in zip(s.critical, qs)
+                )
+                got = 0 if r.kappa == 0 else r.gamma / (r.form[0] * A + r.form[1] * B)
+                assert got == least, ((aleph, beth), r, (A, B))
+                checked += 1
+    assert checked == directions
 
 
 def test_normalize_beta():
