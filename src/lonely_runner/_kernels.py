@@ -1,5 +1,5 @@
-"""Brute-force line-minimum kernels: one modulus loop whose rows run as a scalar loop,
-in python or compiled by numba, or vectorized over the sample index by numpy."""
+"""Brute-force line-minimum kernels: one modulus loop whose rows run as a python loop or,
+on the numpy backend, vectorized over the sample index."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 
-# keeps every int64 product inside the numba and numpy rows overflow-safe
+# keeps every int64 product inside the numpy row overflow-safe
 MAX_ABS = 500_000_000
 
 # under the numpy backend a row of more than this many (d // 2) * n steps is vectorized and a
@@ -29,12 +29,8 @@ WORK_BUDGET = 1_000_000
 # memory, so an unlimited box grows until memory runs out
 BOX_BUDGET = 2_000_000
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
+# only perfbench/child.py's backend_rates reads this; the next benchmark change deletes both
+HAVE_NUMBA = False
 
 
 class UnsupportedRequest(ValueError):
@@ -47,15 +43,11 @@ class UnsupportedRequest(ValueError):
 
 
 def backend() -> str:
-    """Return the active kernel backend from LONELY_RUNNER_KERNEL (auto, numba, numpy, python)."""
+    """Return the active kernel backend from LONELY_RUNNER_KERNEL: python, or numpy (auto)."""
     mode = os.environ.get("LONELY_RUNNER_KERNEL", "auto")
-    if mode not in ("auto", "numba", "numpy", "python"):
+    if mode not in ("auto", "numpy", "python"):
         raise ValueError(f"unknown kernel backend {mode!r}")
-    if mode == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if mode == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-    return mode
+    return "numpy" if mode == "auto" else mode
 
 
 def dedup_speeds(w) -> list[int]:
@@ -76,10 +68,7 @@ def _pair_moduli(w: list[int]) -> list[int]:
 def _row(w, d, best_n, best_d):
     """Best (num, den) after the row of modulus d: (num, 2 * d) if the least num over
     k = 1..d//2 of max_m |2 * (k * w_m % d) - d| puts num / (2 * d) below best_n / best_d,
-    else (best_n, best_d).
-
-    Written in numba's nopython subset: the numba backend compiles this function.
-    """
+    else (best_n, best_d)."""
     for k in range(1, d // 2 + 1):
         num = 0
         full = True
@@ -107,33 +96,18 @@ def _row_numpy(w, d, best_n, best_d):
     return (cand, 2 * d) if cand * best_d < 2 * d * best_n else (best_n, best_d)
 
 
-if HAVE_NUMBA:  # pragma: no cover
-    _row_jit = njit(cache=True)(_row)
+def _vectorize(scale: int) -> bool:
+    """Whether rows past ROW_CUTOFF steps run as _row_numpy: on the numpy backend, unless
+    int64 could overflow at speeds up to scale; every other row runs as _row."""
+    return backend() == "numpy" and scale <= MAX_ABS
 
 
-def _row_numba(w, d, best_n, best_d):  # pragma: no cover - needs numba
-    return _row_jit(np.asarray(w, dtype=np.int64), d, best_n, best_d)
-
-
-def _rows_for(scale: int):
-    """(fast, cutoff): a row of more than cutoff steps runs as fast, the rest as _row.
-    numba compiles every row, numpy vectorizes those past ROW_CUTOFF, and python loops
-    them all, as every backend does where int64 could overflow."""
-    mode = backend()
-    if mode == "python" or scale > MAX_ABS:
-        return _row, 0
-    if mode == "numpy":
-        return _row_numpy, ROW_CUTOFF
-    return _row_numba, 0  # pragma: no cover - needs numba
-
-
-def _d_line(rows, w: list[int]) -> tuple[int, int]:
+def _d_line(vectorize: bool, w: list[int]) -> tuple[int, int]:
     """Unreduced (num, den) of the line minimum of w, positive deduplicated speeds
     (n = len(w) >= 2), scanning each distinct nonzero pairwise sum and difference d
     in increasing order. The work counts n * (n - 1) steps for the pair moduli, then
     (d // 2) * n for each scanned modulus d; a line that would pass WORK_BUDGET is
     refused, before its pair moduli are built if they alone would pass it."""
-    fast, cutoff = rows
     n = len(w)
     steps = n * (n - 1)
     best_n, best_d = 1, 2
@@ -146,7 +120,8 @@ def _d_line(rows, w: list[int]) -> tuple[int, int]:
         steps += size
         if steps > WORK_BUDGET:
             break
-        best_n, best_d = (fast if size > cutoff else _row)(w, d, best_n, best_d)
+        row = _row_numpy if vectorize and size > ROW_CUTOFF else _row
+        best_n, best_d = row(w, d, best_n, best_d)
     if steps > WORK_BUDGET:
         raise UnsupportedRequest(f"line oracle needs more than {WORK_BUDGET} scan steps")
     return int(best_n), int(best_d)
@@ -154,7 +129,7 @@ def _d_line(rows, w: list[int]) -> tuple[int, int]:
 
 def d_line_raw(w: list[int]) -> tuple[int, int]:
     """Dispatch the per-line kernel; w positive deduplicated speeds, len >= 2."""
-    return _d_line(_rows_for(max(w)), w)
+    return _d_line(_vectorize(max(w)), w)
 
 
 def sweep_raw(
@@ -165,11 +140,11 @@ def sweep_raw(
 
     Each distinct set of absolute speeds is scanned once per call: _d_line's result, its
     steps and any refusal depend only on that set (the moduli are sorted, each row takes a
-    max over the speeds, and rows is fixed for the call), so a line whose set was already
+    max over the speeds, and vectorize is fixed for the call), so a line whose set was already
     scanned reuses its (num, den)."""
     if (bound + 1) * (2 * bound + 1) > BOX_BUDGET:
         raise UnsupportedRequest(f"sweep box of bound {bound} holds more than {BOX_BUDGET} points")
-    rows = _rows_for(bound * max(abs(a) + abs(b) for a, b in zip(u, v)))
+    vectorize = _vectorize(bound * max(abs(a) + abs(b) for a, b in zip(u, v)))
     seen = {}  # sorted absolute speeds -> raw (num, den)
     out = []
     for A in range(bound + 1):
@@ -187,6 +162,6 @@ def sweep_raw(
                 key = tuple(sorted(wd))
                 raw = seen.get(key)
                 if raw is None:
-                    raw = seen[key] = _d_line(rows, wd)
+                    raw = seen[key] = _d_line(vectorize, wd)
                 out.append((A, B, *raw))
     return out

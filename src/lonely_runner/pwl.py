@@ -137,6 +137,12 @@ def build_restriction(
     return make_pwl([(t, max(dist_to_half(c + t * d) for c, d in lines)) for t in ts])
 
 
+def restriction_steps(direction: tuple[int, ...]) -> int:
+    """Samples build_restriction takes along direction, the sum of |d| over its events: 2*|d_k|
+    per coordinate and |d_a + d_b| + |d_a - d_b| = 2*max(|d_a|, |d_b|) per pair of them."""
+    return 2 * sum((k + 1) * c for k, c in enumerate(sorted(map(abs, direction))))
+
+
 def approx(tau: Fraction, b: Fraction, q: int) -> tuple[int, int, int]:
     """Residues (r_minus, r_plus, modulus): the nearest points of (b + Z)/q lie
     r_minus/(modulus*q) below tau and r_plus/(modulus*q) above it."""

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from ._kernels import UnsupportedRequest
 from .exact import Vec, complete_to_basis, plane_coords, primitive_kernel, saturate_plane
-from .pwl import CirclePWL, build_restriction
+from .pwl import CirclePWL, build_restriction, restriction_steps
 
 # most sample steps one slice's restrictions may take to build: 40x the largest slice of
 # the test suite and the benchmark (488, on FINITE_THREE_TENTHS); the plane 1000,1,2;0,1,1
@@ -49,10 +49,7 @@ def slice_structure(u: Vec, v: Vec, i: int, j: int, eps: int) -> SliceStructure:
     v_prime = complete_to_basis(u_prime, (u, v))
     K = abs(v_prime[i] - eps * v_prime[j])
     assert K >= 1
-    # build_restriction steps |d| times for each event c + t*d: 2*|u'_k| for each coordinate
-    # and |u'_a + u'_b| + |u'_a - u'_b| = 2*max(|u'_a|, |u'_b|) for each pair of them
-    steps = 2 * sum((k + 1) * c for k, c in enumerate(sorted(abs(c) for c in u_prime)))
-    if steps * (K // 2 + 1) > RESTRICTION_BUDGET:
+    if restriction_steps(u_prime) * (K // 2 + 1) > RESTRICTION_BUDGET:
         raise UnsupportedRequest(f"slice restrictions need more than {RESTRICTION_BUDGET} steps")
     z1, z2 = plane_coords(u, u_prime, v_prime)
     z3, z4 = plane_coords(v, u_prime, v_prime)

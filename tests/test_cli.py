@@ -247,6 +247,14 @@ def test_self_check_failure_exit_4(capsys, monkeypatch):
     assert json.loads(out) == {"error": "gamma table self-check failed"}
 
 
+def test_unknown_kernel_backend_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("LONELY_RUNNER_KERNEL", "numba")
+    error = "unknown kernel backend 'numba'"
+    assert run(capsys, "d", "--vector", "1,2,3") == (1, "", f"error: {error}\n")
+    code, out, _ = run(capsys, "d", "--vector", "1,2,3", "--format", "json")
+    assert (code, json.loads(out)) == (1, {"error": error})
+
+
 def test_argparse_rejects_unknown_choice():
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--basis", U2_BASIS, "--format", "csv"])

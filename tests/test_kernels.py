@@ -1,8 +1,12 @@
 """Backend agreement tests for the brute-force line kernels."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,18 +14,12 @@ from goldens import FINITE_THREE_TENTHS, SECTOR_QUARTER, SECTOR_THIRD, STRIP_QUA
 from lonely_runner import _kernels
 from lonely_runner.torus import d_line_oracle
 
-BACKENDS = ["python", "numpy"] + (["numba"] if _kernels.HAVE_NUMBA else [])
+BACKENDS = ["python", "numpy"]
 GOLDEN_PLANES = (STRIP_QUARTER, SECTOR_QUARTER, *TENTH_PLANES, SECTOR_THIRD, FINITE_THREE_TENTHS)
 
 
 def test_dedup_speeds():
     assert _kernels.dedup_speeds((3, -3, 2, 3, -2)) == [3, 2]
-
-
-def test_backend_env_validation(monkeypatch):
-    monkeypatch.setenv("LONELY_RUNNER_KERNEL", "weird")
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        _kernels.backend()
 
 
 @pytest.mark.parametrize("mode", BACKENDS)
@@ -31,20 +29,6 @@ def test_d_line_raw_literals(monkeypatch, mode):
     assert Fraction(num, den) == Fraction(1, 4)
     num, den = _kernels.d_line_raw([8, 7, 15, 23])
     assert Fraction(num, den) == Fraction(5, 19)
-
-
-def test_backends_agree_random(monkeypatch):
-    rng = random.Random(101)
-    for _ in range(60):
-        n = rng.randint(2, 6)
-        w = sorted({rng.randint(1, 40) for _ in range(n)})
-        if len(w) < 2:
-            continue
-        results = set()
-        for mode in BACKENDS:
-            monkeypatch.setenv("LONELY_RUNNER_KERNEL", mode)
-            results.add(_kernels.d_line_raw(w))
-        assert len(results) == 1
 
 
 @pytest.mark.parametrize("cutoff", [0, 10**18])
@@ -64,10 +48,34 @@ def test_numpy_rows_match_python_raw(monkeypatch, cutoff):
 
 
 def test_big_entries_fall_back_to_python(monkeypatch):
-    monkeypatch.setenv("LONELY_RUNNER_KERNEL", "numpy")
-    w = [_kernels.MAX_ABS * 2 + 1, _kernels.MAX_ABS * 2 + 3]
-    num, den = _kernels.d_line_raw(w)
-    assert den > 0
+    # the line reaches 0 on modulus 204, a 306-step row that numpy vectorizes, and its int64
+    # products overflow: above MAX_ABS only the python row gets it right
+    w = [10**17 + 1, 10**17 + 255, 10**17 + 459]
+    for mode in BACKENDS:
+        monkeypatch.setenv("LONELY_RUNNER_KERNEL", mode)
+        assert _kernels.d_line_raw(w) == (0, 408), mode
+    monkeypatch.setattr(_kernels, "MAX_ABS", 10**18)
+    try:
+        assert _kernels.d_line_raw(w) != (0, 408)
+    except _kernels.UnsupportedRequest:
+        pass
+
+
+def test_importable_numba_changes_nothing(monkeypatch, tmp_path):
+    # a numba stub first on a child's path: auto still means numpy, and the sweep is python's
+    (tmp_path / "numba.py").write_text("njit = lambda *a, **k: a[0] if a else lambda f: f\n")
+    src = str(Path(_kernels.__file__).resolve().parents[1])
+    env = {k: x for k, x in os.environ.items() if k != "LONELY_RUNNER_KERNEL"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tmp_path), src, env.get("PYTHONPATH")]))
+    u, v = SECTOR_QUARTER
+    script = "import numba\nfrom lonely_runner._kernels import backend, sweep_raw\n"
+    script += f"print(numba.__file__, backend(), sweep_raw({u}, {v}, 8), sep='\\n')"
+    out = subprocess.check_output([sys.executable, "-c", script], env=env, text=True)
+    stub, mode, rows = out.splitlines()
+    assert stub.startswith(str(tmp_path))
+    assert mode == "numpy"
+    monkeypatch.setenv("LONELY_RUNNER_KERNEL", "python")
+    assert rows == str(_kernels.sweep_raw(u, v, 8))
 
 
 @pytest.mark.parametrize("mode", ["python", "numpy"])
@@ -118,13 +126,13 @@ def test_sweep_raw_scans_each_speed_set_once(monkeypatch, mode, cutoff):
     cold = _kernels._d_line
     calls = []
 
-    def counting(rows, w):
+    def counting(vectorize, w):
         calls.append(tuple(sorted(w)))
-        return cold(rows, w)
+        return cold(vectorize, w)
 
     monkeypatch.setattr(_kernels, "_d_line", counting)
     for u, v in GOLDEN_PLANES:
-        kind = _kernels._rows_for(12 * max(abs(a) + abs(b) for a, b in zip(u, v)))
+        vectorize = _kernels._vectorize(12 * max(abs(a) + abs(b) for a, b in zip(u, v)))
         for inner in (0, 6):
             del calls[:]
             rows = _kernels.sweep_raw(u, v, 12, inner=inner)
@@ -137,7 +145,7 @@ def test_sweep_raw_scans_each_speed_set_once(monkeypatch, mode, cutoff):
                 elif len(wd) == 1:
                     assert d == [0, 1]
                 else:
-                    assert tuple(d) == cold(kind, wd), (u, v, A, B)
+                    assert tuple(d) == cold(vectorize, wd), (u, v, A, B)
                     sets.add(tuple(sorted(wd)))
             assert sorted(calls) == sorted(sets), (u, v, inner)
             # the memo lives for one call: a second sweep scans every set again

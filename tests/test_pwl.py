@@ -288,6 +288,21 @@ def test_build_restriction_matches_interval_walk_golden_slices():
                         assert minima == runwalk_minimum_structure(got), (u, v, i, j, eps, ell)
 
 
+def test_restriction_steps_sums_build_restriction_events():
+    # build_restriction samples |d| points of each event c + t*d: two per coordinate (x_k = 0
+    # and 1/2) and two per pair of coordinates (x_a = x_b and x_a = -x_b)
+    rng = random.Random(23)
+    lengths = [rng.randint(1, 7) for _ in range(200)]
+    directions = [tuple(rng.choice((0, rng.randint(-12, 12))) for _ in range(n)) for n in lengths]
+    for u, v in (normal_plane(*plane) for plane in GOLDEN_PLANES):
+        pairs = [(i, j) for i in range(len(u)) for j in range(i + 1, len(u))]
+        directions += [slice_structure(u, v, *ij, eps).u_prime for ij in pairs for eps in (1, -1)]
+    for d in directions:
+        events = [*d, *d]
+        events += [a + s * b for i, a in enumerate(d) for b in d[i + 1 :] for s in (1, -1)]
+        assert pwl.restriction_steps(d) == sum(map(abs, events)), d
+
+
 def test_reflect_matches_negated_direction():
     rng = random.Random(9)
     for _ in range(20):
