@@ -1,7 +1,7 @@
 """Exact covering-radius computations for subtori of the n-torus and their order-1 relative spectra."""
 
 from .catalog import enumerate_2d_subtori, tight_pairs
-from .exact import complete_to_basis, gcd_ext, primitive_kernel, saturate_plane
+from .exact import gcd_ext, primitive_kernel, saturate_plane
 from .locus import FinitenessReport, LocusElement, finiteness, zero_locus
 from .spectrum import (
     CertifyReport,
@@ -26,7 +26,6 @@ __all__ = [
     "gcd_ext",
     "primitive_kernel",
     "saturate_plane",
-    "complete_to_basis",
     "d_point",
     "d_line_oracle",
     "d_plane",

@@ -1,4 +1,4 @@
-"""Exact integer-lattice primitives: extended gcd, orientation, kernels, saturation, plane coordinates, basis completion."""
+"""Exact integer-lattice primitives: extended gcd, orientation, kernels, saturation."""
 
 from __future__ import annotations
 
@@ -39,11 +39,6 @@ def primitive_kernel(alpha: int, beta: int) -> tuple[int, int]:
     return orient(beta // g, -alpha // g)
 
 
-def vec_content(u: Vec) -> int:
-    """Return the gcd of the entries of u (0 for the zero vector)."""
-    return math.gcd(*u) if u else 0
-
-
 def minors2(u: Vec, v: Vec) -> list[int]:
     """Return all 2x2 minors u[i]*v[j] - u[j]*v[i] for i < j."""
     n = len(u)
@@ -57,10 +52,7 @@ def saturate_plane(u: Vec, v: Vec) -> tuple[Vec, Vec]:
     mins = minors2(u, v)
     if all(m == 0 for m in mins):
         raise ValueError("not a plane")
-    cu = vec_content(u)
-    if cu == 0:
-        # u = 0 contradicts a nonzero minor, but guard anyway
-        raise ValueError("not a plane")
+    cu = math.gcd(*u)
     u1 = tuple(c // cu for c in u)
     m = math.gcd(*minors2(u1, v))
     if m == 1:
@@ -77,42 +69,3 @@ def saturate_plane(u: Vec, v: Vec) -> tuple[Vec, Vec]:
     v1 = tuple(c // m for c in shifted)
     assert math.gcd(*minors2(u1, v1)) == 1
     return u1, v1
-
-
-def plane_coords(w: Vec, u: Vec, v: Vec) -> tuple[int, int]:
-    """Integer coordinates (a, b) with w = a*u + b*v; raises ValueError if there are none."""
-    n = len(u)
-    if len(w) != n:
-        raise ValueError("vector length differs from the plane's")
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = u[i] * v[j] - u[j] * v[i]
-            if det != 0:
-                na = w[i] * v[j] - w[j] * v[i]
-                nb = u[i] * w[j] - u[j] * w[i]
-                if na % det or nb % det:
-                    raise ValueError("coordinates are not integral")
-                a, b = na // det, nb // det
-                if any(w[k] != a * u[k] + b * v[k] for k in range(n)):
-                    raise ValueError("vector outside the plane")
-                return a, b
-    raise ValueError("not a plane")
-
-
-def complete_to_basis(w: Vec, basis: tuple[Vec, Vec]) -> Vec:
-    """Extend the primitive lattice vector w to a basis (w, v2) of the saturated plane spanned by basis."""
-    u, v = basis
-    try:
-        a, b = plane_coords(w, u, v)
-    except ValueError:
-        raise ValueError("not primitive") from None
-    g, x, y = gcd_ext(a, b)
-    if g != 1:
-        raise ValueError("not primitive")
-    v2 = tuple(-y * u[k] + x * v[k] for k in range(len(u)))
-    for c in v2:
-        if c != 0:
-            if c < 0:
-                v2 = tuple(-t for t in v2)
-            break
-    return v2

@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernels import UnsupportedRequest
-from .exact import Vec, complete_to_basis, plane_coords, primitive_kernel, saturate_plane
+from .exact import Vec, gcd_ext, primitive_kernel, saturate_plane
 from .pwl import CirclePWL, build_restriction, restriction_steps
 
 # most sample steps one slice's restrictions may take to build: 40x the largest slice of
 # the test suite and the benchmark (488, on FINITE_THREE_TENTHS); the plane 1000,1,2;0,1,1
 # (12,006 steps, 1.5 s on a 2-vCPU VM) stays in, and 10000,1,2;0,1,1 (120,006, 16 s) is refused
 RESTRICTION_BUDGET = 20_000
+# most sample steps all slices of one plane may take: 4x the largest plane total of the test
+# suite and the benchmark (30,024 on 1,0,500;0,1,500) and six slices at RESTRICTION_BUDGET, so
+# no 3-coordinate plane is refused that every slice budget passes; 700,1,2,3;0,1,1,1 (117,780
+# steps) answers in 5.4 s on a 2-vCPU VM, and a 24-coordinate plane of 552 slices and
+# 2,544,810 steps, which took 35 s, is refused
+PLANE_BUDGET = 120_000
 
 
 @dataclass(frozen=True)
@@ -27,6 +34,23 @@ class SliceStructure:
     K: int
     z: tuple[int, int, int, int]
     restrictions: tuple[CirclePWL, ...]
+
+
+def check_plane_budget(u: Vec, v: Vec) -> None:
+    """Refuse the normal plane span(u, v) if building the restrictions of all its slices
+    would pass PLANE_BUDGET steps, counted from each slice's u' and K = gcd(alpha, beta)
+    before any slice is built."""
+    steps = 0
+    n = len(u)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for eps in (1, -1):
+                alpha, beta = u[i] - eps * u[j], v[i] - eps * v[j]
+                a0, b0 = primitive_kernel(alpha, beta)
+                u_prime = tuple(a0 * a + b0 * b for a, b in zip(u, v))
+                steps += restriction_steps(u_prime) * (math.gcd(alpha, beta) // 2 + 1)
+    if steps > PLANE_BUDGET:
+        raise UnsupportedRequest(f"the plane's slice restrictions need more than {PLANE_BUDGET} steps")
 
 
 def slice_structure(u: Vec, v: Vec, i: int, j: int, eps: int) -> SliceStructure:
@@ -44,21 +68,24 @@ def slice_structure(u: Vec, v: Vec, i: int, j: int, eps: int) -> SliceStructure:
     beta = v[i] - eps * v[j]
     if alpha == 0 and beta == 0:
         raise ValueError("degenerate slice; normalise with torus.normal_plane first")
+    # u' = a0*u + b0*v spans the slice's lattice; with a0*x + b0*y = 1 the matrix
+    # [[a0, b0], [-s*y, s*x]] is unimodular, so v' = s*(x*v - y*u) completes the basis and
+    # its inverse gives u = x*u' - s*b0*v', v = y*u' + s*a0*v'
     a0, b0 = primitive_kernel(alpha, beta)
-    u_prime = tuple(a0 * u[k] + b0 * v[k] for k in range(len(u)))
-    v_prime = complete_to_basis(u_prime, (u, v))
-    K = abs(v_prime[i] - eps * v_prime[j])
-    assert K >= 1
+    _, x, y = gcd_ext(a0, b0)
+    assert a0 * x + b0 * y == 1
+    u_prime = tuple(a0 * a + b0 * b for a, b in zip(u, v))
+    w = tuple(x * b - y * a for a, b in zip(u, v))
+    s = 1 if next(c for c in w if c) > 0 else -1
+    v_prime = tuple(s * c for c in w)
+    # v'_i - eps*v'_j = s*(x*beta - y*alpha), and (alpha, beta) = +-g*(-b0, a0), so K = g
+    K = math.gcd(alpha, beta)
     if restriction_steps(u_prime) * (K // 2 + 1) > RESTRICTION_BUDGET:
         raise UnsupportedRequest(f"slice restrictions need more than {RESTRICTION_BUDGET} steps")
-    z1, z2 = plane_coords(u, u_prime, v_prime)
-    z3, z4 = plane_coords(v, u_prime, v_prime)
-    if abs(z1 * z4 - z2 * z3) != 1:
-        raise RuntimeError("adapted basis change is not unimodular")
     restrictions = tuple(
         build_restriction(
             tuple(Fraction(ell * c, K) for c in v_prime), u_prime
         )
         for ell in range(K // 2 + 1)
     )
-    return SliceStructure(i, j, eps, u_prime, v_prime, K, (z1, z2, z3, z4), restrictions)
+    return SliceStructure(i, j, eps, u_prime, v_prime, K, (x, -s * b0, y, s * a0), restrictions)

@@ -11,7 +11,7 @@ from itertools import combinations
 from ._kernels import UnsupportedRequest
 from .exact import Vec, gcd_ext, orient, primitive_kernel
 from .pwl import CirclePWL, coset_min_direct, gamma_table, table_window
-from .slices import slice_structure
+from .slices import check_plane_budget, slice_structure
 from .torus import normal_plane, oracle_sweep
 
 WITNESS_RANGE = 11  # progression indices 0..10 are checked for witnesses
@@ -114,6 +114,7 @@ def class_setup(u: Vec, v: Vec) -> ClassSetup:
     K - ell mirrors it and has the same coset minima) with its linear forms, numbering
     the distinct restrictions so that equal ones share their gamma tables."""
     u, v = normal_plane(u, v)
+    check_plane_budget(u, v)
     comps: list[Component] = []
     rids: dict[CirclePWL, int] = {}
     n = len(u)

@@ -10,7 +10,7 @@ from types import MappingProxyType
 from . import _kernels
 from .exact import Vec, gcd_ext, orient, saturate_plane
 from .pwl import dist_to_half
-from .slices import slice_structure
+from .slices import check_plane_budget, slice_structure
 
 
 def d_point(x: tuple[Fraction | int, ...]) -> Fraction:
@@ -67,6 +67,7 @@ def normal_plane(u: Vec, v: Vec) -> tuple[Vec, Vec]:
 def d_plane(u: Vec, v: Vec) -> Fraction:
     """Exact distance of the saturated plane span(u, v) to the half-center."""
     u, v = normal_plane(u, v)
+    check_plane_budget(u, v)
     n = len(u)
     best = None
     for i in range(n):

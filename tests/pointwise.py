@@ -1,5 +1,6 @@
-"""Point evaluation of circle piecewise-linear functions, the reference that the tests
-check restrictions and coset minima against."""
+"""Pointwise references for the tests: evaluation of circle piecewise-linear functions,
+which restrictions and coset minima are checked against, and the coordinates of a
+lattice vector in a plane basis."""
 
 import bisect
 from fractions import Fraction
@@ -24,3 +25,21 @@ def evaluate(f, t):
     v1 = vals[j]
     return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
+
+def plane_coords(w, u, v):
+    """Integer coordinates (a, b) with w = a*u + b*v, from the first nonzero 2x2 minor of
+    (u, v); raises ValueError if there are none."""
+    n = len(u)
+    for i in range(n):
+        for j in range(i + 1, n):
+            det = u[i] * v[j] - u[j] * v[i]
+            if det != 0:
+                na = w[i] * v[j] - w[j] * v[i]
+                nb = u[i] * w[j] - u[j] * w[i]
+                if na % det or nb % det:
+                    raise ValueError("coordinates are not integral")
+                a, b = na // det, nb // det
+                if any(w[k] != a * u[k] + b * v[k] for k in range(n)):
+                    raise ValueError("vector outside the plane")
+                return a, b
+    raise ValueError("not a plane")

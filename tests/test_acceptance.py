@@ -17,8 +17,9 @@ from goldens import (
     STRIP_TENTH_B,
     TENTH_PLANES,
 )
+from pointwise import plane_coords
 from lonely_runner.catalog import enumerate_2d_subtori
-from lonely_runner.exact import plane_coords, saturate_plane
+from lonely_runner.exact import saturate_plane
 from lonely_runner.locus import LocusElement, finiteness, zero_locus
 from lonely_runner.pwl import approx, coset_min_direct, gamma_table, make_pwl
 from lonely_runner.slices import slice_structure

@@ -97,6 +97,19 @@ def test_d_basis_past_restriction_budget_exit_3(capsys):
     assert "slice restrictions" in json.loads(out)["error"]
 
 
+def test_d_basis_past_plane_budget_exit_3(capsys):
+    # 24 coordinates, 552 slices: each slice passes RESTRICTION_BUDGET, the plane's
+    # 2,544,810 steps do not, and nothing is built before the refusal
+    u = "0,0,0,0,0,1,1,1,1,1,1,1,1,1,1,1,2,2,2,2,2,2,2,2"
+    v = "1,2,3,4,5,-5,-4,-3,-2,-1,0,1,2,3,4,5,-5,-4,-3,-2,-1,0,1,2"
+    for command in (["d"], ["spectrum", "--bound", "3"]):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, *command, "--basis", f"{u};{v}", "--format", "json")
+        assert time.perf_counter() - t0 < 2, command
+        assert code == 3, command
+        assert "slice restrictions" in json.loads(out)["error"], command
+
+
 def test_d_basis_huge_saturation_index(capsys):
     # the saturation shift is found in closed form, not by a search over 10**9 candidates
     t0 = time.perf_counter()

@@ -7,7 +7,6 @@ import time
 import pytest
 
 from lonely_runner.exact import (
-    complete_to_basis,
     gcd_ext,
     minors2,
     primitive_kernel,
@@ -139,51 +138,3 @@ def test_saturate_plane_huge_index_in_closed_form():
     t0 = time.perf_counter()
     assert saturate_plane((1, 0, 0), (1, 10**9, 10**9)) == ((1, 0, 0), (1, 1, 1))
     assert time.perf_counter() - t0 < 1
-
-
-def test_complete_to_basis_literal_case():
-    basis = ((0, 1, 2, 3), (1, 0, 0, 0))
-    assert complete_to_basis((1, 0, 0, 0), basis) == (0, 1, 2, 3)
-
-
-def test_complete_to_basis_rejects_non_primitive():
-    basis = ((1, 0, 0), (0, 1, 0))
-    with pytest.raises(ValueError, match="not primitive"):
-        complete_to_basis((2, 0, 0), basis)
-    with pytest.raises(ValueError, match="not primitive"):
-        complete_to_basis((0, 0, 1), basis)
-
-
-def test_complete_to_basis_spans_same_lattice_random():
-    rng = random.Random(31)
-    checked = 0
-    while checked < 200:
-        n = rng.randint(2, 5)
-        u = tuple(rng.randint(-6, 6) for _ in range(n))
-        v = tuple(rng.randint(-6, 6) for _ in range(n))
-        if all(m == 0 for m in minors2(u, v)):
-            continue
-        u1, v1 = saturate_plane(u, v)
-        a = rng.randint(-5, 5)
-        b = rng.randint(-5, 5)
-        if math.gcd(a, b) != 1:
-            continue
-        w = tuple(a * u1[k] + b * v1[k] for k in range(n))
-        v2 = complete_to_basis(w, (u1, v1))
-        # (w, v2) must generate the same saturated lattice: minors gcd 1
-        assert math.gcd(*minors2(w, v2)) == 1
-        # and v2 lies in the lattice of (u1, v1)
-        done = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                det = u1[i] * v1[j] - u1[j] * v1[i]
-                if det:
-                    num_a = v2[i] * v1[j] - v2[j] * v1[i]
-                    num_b = u1[i] * v2[j] - u1[j] * v2[i]
-                    assert num_a % det == 0 and num_b % det == 0
-                    done = True
-                    break
-            if done:
-                break
-        assert done
-        checked += 1

@@ -118,6 +118,18 @@ def test_locus_covers_bounded_denominator_sweep():
         assert hits > 0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: locus._band_arcs returns arcs in decreasing t when s < 0, "
+    "and _intersect_arcs assumes increasing t",
+)
+def test_zero_locus_sector_third_holds_half_third():
+    u, v = SECTOR_THIRD
+    a, b = Fr(1, 2), Fr(1, 3)
+    assert d_point(_evaluate(u, v, a, b)) == d_plane(u, v) == Fr(1, 3)
+    assert any(_on_element(e, a, b) for e in zero_locus(u, v))
+
+
 def test_finiteness_verdicts():
     fin = finiteness(*FINITE_THREE_TENTHS)
     assert fin.verdict == "finite"

@@ -11,7 +11,8 @@ from pointwise import evaluate
 from lonely_runner import slices
 from lonely_runner._kernels import UnsupportedRequest
 from lonely_runner.exact import minors2, saturate_plane
-from lonely_runner.slices import slice_structure
+from lonely_runner.pwl import restriction_steps
+from lonely_runner.slices import check_plane_budget, slice_structure
 
 F = Fraction
 
@@ -121,6 +122,15 @@ def test_unimodularity_and_coprimality_random():
                     s = slice_structure(u, v, i, j, eps)
                     z1, z2, z3, z4 = s.z
                     assert abs(z1 * z4 - z2 * z3) == 1
+                    # (u, v) in the adapted basis (u', v'), entry by entry
+                    for k in range(n):
+                        assert u[k] == z1 * s.u_prime[k] + z2 * s.v_prime[k]
+                        assert v[k] == z3 * s.u_prime[k] + z4 * s.v_prime[k]
+                    alpha, beta = u[i] - eps * u[j], v[i] - eps * v[j]
+                    assert s.K == math.gcd(alpha, beta)
+                    # the q-form (E, F) = (z2, z4) is +-(alpha, beta)/K
+                    assert (z2, z4) in ((alpha // s.K, beta // s.K), (-alpha // s.K, -beta // s.K))
+                    assert next(c for c in s.v_prime if c) > 0
                     for _ in range(4):
                         A = rng.randint(-6, 6)
                         B = rng.randint(-6, 6)
@@ -196,3 +206,24 @@ def test_restriction_budget_counts_every_sample_step(monkeypatch):
         slice_structure(u, v, 2, 3, -1)
     monkeypatch.setattr(slices, "RESTRICTION_BUDGET", 488)
     assert len(slice_structure(u, v, 2, 3, -1).restrictions) == 1
+
+
+def test_plane_budget_counts_every_slice(monkeypatch):
+    # the budget's total, read off the kernels, equals the steps of the slices as built
+    u, v = FINITE_THREE_TENTHS
+    n = len(u)
+    built = sum(
+        restriction_steps(s.u_prime) * (s.K // 2 + 1)
+        for s in (
+            slice_structure(u, v, i, j, eps)
+            for i in range(n)
+            for j in range(i + 1, n)
+            for eps in (1, -1)
+        )
+    )
+    assert built == 10_896
+    monkeypatch.setattr(slices, "PLANE_BUDGET", built - 1)
+    with pytest.raises(UnsupportedRequest, match="slice restrictions"):
+        check_plane_budget(u, v)
+    monkeypatch.setattr(slices, "PLANE_BUDGET", built)
+    check_plane_budget(u, v)
