@@ -35,10 +35,9 @@ HAVE_NUMBA = False
 
 class UnsupportedRequest(ValueError):
     """A request the package declines: no tight-instance catalog data for the dimension
-    and distance, an enumeration past catalog.CANDIDATE_BUDGET candidate bases, a slice
-    whose restrictions would pass slices.RESTRICTION_BUDGET steps or a plane whose slices
-    together would pass slices.PLANE_BUDGET, a line whose oracle
-    scan would pass WORK_BUDGET steps, a sweep box of more than BOX_BUDGET points, a
+    and distance, an enumeration past catalog.CANDIDATE_BUDGET candidate bases, a plane
+    whose slice restrictions together would pass slices.PLANE_BUDGET steps, a line whose
+    oracle scan would pass WORK_BUDGET steps, a sweep box of more than BOX_BUDGET points, a
     gamma table whose self-check would pass pwl.SELFCHECK_BUDGET grid points, or a
     spectrum analysis that would build more than spectrum.CLASS_BUDGET class records."""
 

@@ -202,7 +202,7 @@ def cmd_finiteness(args: argparse.Namespace) -> int:
     print(report.verdict)
     print(f"note {report.note}")
     for s in report.witness_segments:
-        print(f"segment {point_str(s.start)} -> {point_str(s.end)} direction {s.direction}")
+        print(segment_text(s))
     if report.common_direction:
         print(f"common_direction {report.common_direction}")
     return 0
@@ -210,6 +210,10 @@ def cmd_finiteness(args: argparse.Namespace) -> int:
 
 def point_str(pt) -> str:
     return f"({pt[0]}, {pt[1]})"
+
+
+def segment_text(e) -> str:
+    return f"segment {point_str(e.start)} -> {point_str(e.end)} direction {e.direction}"
 
 
 def segment_payload(e) -> dict:
@@ -233,13 +237,7 @@ def cmd_zero_locus(args: argparse.Namespace) -> int:
         emit_json(payload)
         return 0
     for e in elements:
-        if e.kind == "point":
-            print(f"point {point_str(e.start)}")
-        else:
-            print(
-                f"segment {point_str(e.start)} -> {point_str(e.end)}"
-                f" direction {e.direction}"
-            )
+        print(f"point {point_str(e.start)}" if e.kind == "point" else segment_text(e))
     print(f"{len(elements)} elements")
     return 0
 

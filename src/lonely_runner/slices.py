@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -10,14 +11,11 @@ from ._kernels import UnsupportedRequest
 from .exact import Vec, gcd_ext, primitive_kernel, saturate_plane
 from .pwl import CirclePWL, build_restriction, restriction_steps
 
-# most sample steps one slice's restrictions may take to build: 40x the largest slice of
-# the test suite and the benchmark (488, on FINITE_THREE_TENTHS); the plane 1000,1,2;0,1,1
-# (12,006 steps, 1.5 s on a 2-vCPU VM) stays in, and 10000,1,2;0,1,1 (120,006, 16 s) is refused
-RESTRICTION_BUDGET = 20_000
-# most sample steps all slices of one plane may take: 4x the largest plane total of the test
-# suite and the benchmark (30,024 on 1,0,500;0,1,500) and six slices at RESTRICTION_BUDGET, so
-# no 3-coordinate plane is refused that every slice budget passes; 700,1,2,3;0,1,1,1 (117,780
-# steps) answers in 5.4 s on a 2-vCPU VM, and a 24-coordinate plane of 552 slices and
+# most sample steps all slices of one plane may take, counted before any slice is built: 4x
+# the 30,024 of 1,0,500;0,1,500, whose spectrum must reach its self-check refusal, and 11x
+# the benchmark's largest plane (10,896 on FINITE_THREE_TENTHS); on a 2-vCPU VM
+# 1,0,2000;0,1,0 (76,022 steps, 20,002 in each of two slices) answers in 4 s and
+# 700,1,2,3;0,1,1,1 (117,780) in 5.4 s, and a 24-coordinate plane of 552 slices and
 # 2,544,810 steps, which took 35 s, is refused
 PLANE_BUDGET = 120_000
 
@@ -36,19 +34,29 @@ class SliceStructure:
     restrictions: tuple[CirclePWL, ...]
 
 
+def diagonals(n: int) -> Iterator[tuple[int, int, int]]:
+    """The diagonal hyperplanes x_i = eps*x_j of n coordinates as (i, j, eps): i ascending,
+    then j, then +1 before -1. This order fixes the order of a plane's slice components."""
+    return ((i, j, eps) for i in range(n) for j in range(i + 1, n) for eps in (1, -1))
+
+
+def slice_kernel(u: Vec, v: Vec, i: int, j: int, eps: int) -> tuple[int, int, Vec, int]:
+    """(a0, b0, u', K) of the slice x_i = eps*x_j of span(u, v): the primitive kernel
+    (a0, b0) of (alpha, beta) = (u_i - eps*u_j, v_i - eps*v_j), u' = a0*u + b0*v, which
+    spans the slice's lattice, and the component count K = gcd(alpha, beta)."""
+    alpha, beta = u[i] - eps * u[j], v[i] - eps * v[j]
+    a0, b0 = primitive_kernel(alpha, beta)
+    return a0, b0, tuple(a0 * a + b0 * b for a, b in zip(u, v)), math.gcd(alpha, beta)
+
+
 def check_plane_budget(u: Vec, v: Vec) -> None:
     """Refuse the normal plane span(u, v) if building the restrictions of all its slices
-    would pass PLANE_BUDGET steps, counted from each slice's u' and K = gcd(alpha, beta)
-    before any slice is built."""
-    steps = 0
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for eps in (1, -1):
-                alpha, beta = u[i] - eps * u[j], v[i] - eps * v[j]
-                a0, b0 = primitive_kernel(alpha, beta)
-                u_prime = tuple(a0 * a + b0 * b for a, b in zip(u, v))
-                steps += restriction_steps(u_prime) * (math.gcd(alpha, beta) // 2 + 1)
+    would pass PLANE_BUDGET steps, counted from each slice's u' and K before any slice
+    is built."""
+    steps = sum(
+        restriction_steps(u_prime) * (K // 2 + 1)
+        for _, _, u_prime, K in (slice_kernel(u, v, *d) for d in diagonals(len(u)))
+    )
     if steps > PLANE_BUDGET:
         raise UnsupportedRequest(f"the plane's slice restrictions need more than {PLANE_BUDGET} steps")
 
@@ -64,24 +72,19 @@ def slice_structure(u: Vec, v: Vec, i: int, j: int, eps: int) -> SliceStructure:
     if not 0 <= i < j < len(u):
         raise ValueError("need 0 <= i < j < n")
     u, v = saturate_plane(u, v)
-    alpha = u[i] - eps * u[j]
-    beta = v[i] - eps * v[j]
-    if alpha == 0 and beta == 0:
+    if u[i] == eps * u[j] and v[i] == eps * v[j]:
         raise ValueError("degenerate slice; normalise with torus.normal_plane first")
     # u' = a0*u + b0*v spans the slice's lattice; with a0*x + b0*y = 1 the matrix
     # [[a0, b0], [-s*y, s*x]] is unimodular, so v' = s*(x*v - y*u) completes the basis and
     # its inverse gives u = x*u' - s*b0*v', v = y*u' + s*a0*v'
-    a0, b0 = primitive_kernel(alpha, beta)
+    a0, b0, u_prime, K = slice_kernel(u, v, i, j, eps)
     _, x, y = gcd_ext(a0, b0)
     assert a0 * x + b0 * y == 1
-    u_prime = tuple(a0 * a + b0 * b for a, b in zip(u, v))
     w = tuple(x * b - y * a for a, b in zip(u, v))
     s = 1 if next(c for c in w if c) > 0 else -1
     v_prime = tuple(s * c for c in w)
-    # v'_i - eps*v'_j = s*(x*beta - y*alpha), and (alpha, beta) = +-g*(-b0, a0), so K = g
-    K = math.gcd(alpha, beta)
-    if restriction_steps(u_prime) * (K // 2 + 1) > RESTRICTION_BUDGET:
-        raise UnsupportedRequest(f"slice restrictions need more than {RESTRICTION_BUDGET} steps")
+    # v'_i - eps*v'_j = s*(x*beta - y*alpha), and (alpha, beta) = +-K*(-b0, a0), so the
+    # slice has K components
     restrictions = tuple(
         build_restriction(
             tuple(Fraction(ell * c, K) for c in v_prime), u_prime

@@ -11,7 +11,7 @@ from itertools import combinations
 from ._kernels import UnsupportedRequest
 from .exact import Vec, gcd_ext, orient, primitive_kernel
 from .pwl import CirclePWL, coset_min_direct, gamma_table, table_window
-from .slices import check_plane_budget, slice_structure
+from .slices import check_plane_budget, diagonals, slice_structure
 from .torus import normal_plane, oracle_sweep
 
 WITNESS_RANGE = 11  # progression indices 0..10 are checked for witnesses
@@ -117,15 +117,12 @@ def class_setup(u: Vec, v: Vec) -> ClassSetup:
     check_plane_budget(u, v)
     comps: list[Component] = []
     rids: dict[CirclePWL, int] = {}
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for eps in (1, -1):
-                s = slice_structure(u, v, i, j, eps)
-                z1, z2, z3, z4 = s.z
-                for ell, f in enumerate(s.restrictions):
-                    rid = rids.setdefault(f, len(rids))
-                    comps.append(Component(i, j, eps, ell, s.K, z2, z4, z1, z3, f, rid))
+    for i, j, eps in diagonals(len(u)):
+        s = slice_structure(u, v, i, j, eps)
+        z1, z2, z3, z4 = s.z
+        for ell, f in enumerate(s.restrictions):
+            rid = rids.setdefault(f, len(rids))
+            comps.append(Component(i, j, eps, ell, s.K, z2, z4, z1, z3, f, rid))
     minima = [c.f.minimum for c in comps]
     d = min(minima)
     critical = tuple(c for c, m in zip(comps, minima) if m == d)

@@ -10,7 +10,7 @@ from types import MappingProxyType
 from . import _kernels
 from .exact import Vec, gcd_ext, orient, saturate_plane
 from .pwl import dist_to_half
-from .slices import check_plane_budget, slice_structure
+from .slices import check_plane_budget, diagonals, slice_structure
 
 
 def d_point(x: tuple[Fraction | int, ...]) -> Fraction:
@@ -68,17 +68,7 @@ def d_plane(u: Vec, v: Vec) -> Fraction:
     """Exact distance of the saturated plane span(u, v) to the half-center."""
     u, v = normal_plane(u, v)
     check_plane_budget(u, v)
-    n = len(u)
-    best = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            for eps in (1, -1):
-                s = slice_structure(u, v, i, j, eps)
-                for f in s.restrictions:
-                    m = f.minimum
-                    if best is None or m < best:
-                        best = m
-    return best
+    return min(f.minimum for d in diagonals(len(u)) for f in slice_structure(u, v, *d).restrictions)
 
 
 def _hnf_2rows(r1: list[int], r2: list[int]) -> tuple[Vec, Vec]:

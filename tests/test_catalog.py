@@ -107,7 +107,7 @@ def test_enumerate_candidate_budget_is_exact(monkeypatch):
 def test_enumerate_passes_refusals_through(monkeypatch):
     # a refused candidate plane refuses the enumeration instead of dropping the candidate
     catalog._enumerate_cached.cache_clear()
-    monkeypatch.setattr(slices, "RESTRICTION_BUDGET", 0)
+    monkeypatch.setattr(slices, "PLANE_BUDGET", 0)
     with pytest.raises(UnsupportedRequest, match="slice restrictions"):
         enumerate_2d_subtori(3, Fr(1, 7))
 

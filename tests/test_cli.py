@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,8 @@ from lonely_runner.cli import (
     parse_rational,
     parse_vector,
 )
-from lonely_runner.torus import canonicalize_symmetry
+from lonely_runner.exact import saturate_plane
+from lonely_runner.torus import canonicalize_symmetry, d_point
 
 U2_BASIS = "1,0,1,1;1,1,0,2"
 U8_BASIS = "1,2,3,2,0,0,0;0,0,0,2,1,2,3"
@@ -89,25 +91,37 @@ def test_d_vector_many_speeds_exit_3(capsys):
         assert "scan steps" in json.loads(out)["error"], n
 
 
-def test_d_basis_past_restriction_budget_exit_3(capsys):
-    t0 = time.perf_counter()
-    code, out, _ = run(capsys, "d", "--basis", "10000,1,2;0,1,1", "--format", "json")
-    assert time.perf_counter() - t0 < 2
-    assert code == 3
-    assert "slice restrictions" in json.loads(out)["error"]
-
-
 def test_d_basis_past_plane_budget_exit_3(capsys):
-    # 24 coordinates, 552 slices: each slice passes RESTRICTION_BUDGET, the plane's
-    # 2,544,810 steps do not, and nothing is built before the refusal
+    # 10000,1,2;0,1,1 needs 600,024 steps; the 24-coordinate plane has 552 slices of at
+    # most 10,196 steps each and 2,544,810 in all; nothing is built before the refusal
     u = "0,0,0,0,0,1,1,1,1,1,1,1,1,1,1,1,2,2,2,2,2,2,2,2"
     v = "1,2,3,4,5,-5,-4,-3,-2,-1,0,1,2,3,4,5,-5,-4,-3,-2,-1,0,1,2"
-    for command in (["d"], ["spectrum", "--bound", "3"]):
-        t0 = time.perf_counter()
-        code, out, _ = run(capsys, *command, "--basis", f"{u};{v}", "--format", "json")
-        assert time.perf_counter() - t0 < 2, command
-        assert code == 3, command
-        assert "slice restrictions" in json.loads(out)["error"], command
+    for basis in ("10000,1,2;0,1,1", f"{u};{v}"):
+        for command in (["d"], ["spectrum", "--bound", "3"]):
+            t0 = time.perf_counter()
+            code, out, _ = run(capsys, *command, "--basis", basis, "--format", "json")
+            assert time.perf_counter() - t0 < 2, (basis, command)
+            assert code == 3, (basis, command)
+            assert "slice restrictions" in json.loads(out)["error"], (basis, command)
+
+
+def test_plane_with_large_slices_within_plane_budget(capsys):
+    # the slices x_1 = +-x_2 need 20,002 steps each, the plane 76,022; the plane budget
+    # alone bounds the work, so d and zero-locus answer
+    basis = "1,0,2000;0,1,0"
+    d = Fraction(1, 4002)
+    code, out, _ = run(capsys, "d", "--basis", basis)
+    assert (code, out) == (0, "1/4002\n")
+    code, out, _ = run(capsys, "zero-locus", "--basis", basis, "--format", "json")
+    assert code == 0
+    u, v = saturate_plane(*parse_basis(basis))
+    elements = json.loads(out)
+    assert elements
+    ends = [e["at"] for e in elements if e["kind"] == "point"]
+    ends += [p for e in elements if e["kind"] == "segment" for p in (e["start"], e["end"])]
+    for a, b in ends:
+        a, b = Fraction(a), Fraction(b)
+        assert d_point(tuple(a * x + b * y for x, y in zip(u, v))) == d
 
 
 def test_d_basis_huge_saturation_index(capsys):

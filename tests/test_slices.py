@@ -12,7 +12,7 @@ from lonely_runner import slices
 from lonely_runner._kernels import UnsupportedRequest
 from lonely_runner.exact import minors2, saturate_plane
 from lonely_runner.pwl import restriction_steps
-from lonely_runner.slices import check_plane_budget, slice_structure
+from lonely_runner.slices import check_plane_budget, diagonals, slice_structure
 
 F = Fraction
 
@@ -197,29 +197,12 @@ def test_restrictions_match_distance_along_components():
             assert got == max(dist_to_half(c) for c in pt)
 
 
-def test_restriction_budget_counts_every_sample_step(monkeypatch):
-    # u' = (2, 4, 6, -6, -5, -10, -15) and K = 1: the sorted |u'| are 2, 4, 5, 6, 6, 10, 15,
-    # so 2 * (1*2 + 2*4 + 3*5 + 4*6 + 5*6 + 6*10 + 7*15) = 488 steps
-    u, v = FINITE_THREE_TENTHS
-    monkeypatch.setattr(slices, "RESTRICTION_BUDGET", 487)
-    with pytest.raises(UnsupportedRequest, match="slice restrictions"):
-        slice_structure(u, v, 2, 3, -1)
-    monkeypatch.setattr(slices, "RESTRICTION_BUDGET", 488)
-    assert len(slice_structure(u, v, 2, 3, -1).restrictions) == 1
-
-
 def test_plane_budget_counts_every_slice(monkeypatch):
     # the budget's total, read off the kernels, equals the steps of the slices as built
     u, v = FINITE_THREE_TENTHS
-    n = len(u)
     built = sum(
         restriction_steps(s.u_prime) * (s.K // 2 + 1)
-        for s in (
-            slice_structure(u, v, i, j, eps)
-            for i in range(n)
-            for j in range(i + 1, n)
-            for eps in (1, -1)
-        )
+        for s in (slice_structure(u, v, *d) for d in diagonals(len(u)))
     )
     assert built == 10_896
     monkeypatch.setattr(slices, "PLANE_BUDGET", built - 1)
