@@ -38,7 +38,7 @@ class UnsupportedRequest(ValueError):
     and distance, an enumeration past catalog.CANDIDATE_BUDGET candidate bases, a plane
     whose slice restrictions together would pass slices.PLANE_BUDGET steps, a line whose
     oracle scan would pass WORK_BUDGET steps, a sweep box of more than BOX_BUDGET points, a
-    gamma table whose self-check would pass pwl.SELFCHECK_BUDGET grid points, or a
+    gamma table whose self-check would read more than pwl.SELFCHECK_BUDGET pieces, or a
     spectrum analysis that would build more than spectrum.CLASS_BUDGET class records."""
 
 

@@ -6,10 +6,8 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from ._kernels import UnsupportedRequest
-from .exact import minors2
+from .exact import Vec, minors2, orient
 from .torus import canonicalize_symmetry, d_plane
-
-Vec = tuple[int, ...]
 
 # most candidate bases one enumeration may build: 1,200 at n = 3, d = 1/14 (1.3 s on a
 # 2-vCPU VM), and 3,280 at 1/18 (3.8 s), the largest it keeps, against 7,320 at 1/22 (12 s)
@@ -55,13 +53,6 @@ def _signed_triples():
     ]
 
 
-def _reduced_ratio(p: int, q: int) -> tuple[int, int]:
-    """Coprime representative of the ratio p : q with positive first entry."""
-    g = math.gcd(p, q)
-    p, q = p // g, q // g
-    return (p, q) if p > 0 else (-p, -q)
-
-
 def _candidates_dim3(pairs) -> list[tuple[Vec, Vec]]:
     cands = []
     for pa in pairs:
@@ -92,7 +83,8 @@ def _candidates_dim4() -> list[tuple[Vec, Vec]]:
     # zero entry forces one of four ratios for a : c
     for d, e, f in triples:
         for num, den in ((d, e - f), (d, f - e), (d, e + f), (d, -e - f)):
-            a, c = _reduced_ratio(num, den)
+            g = math.gcd(num, den)
+            a, c = orient(num // g, den // g)
             cands.append(_tied(a, (0, c), d, (e, f)))
     # two zero entries in one generator
     for d, e, f in triples:
@@ -132,13 +124,4 @@ def _enumerate_cached(n: int, d: Fraction) -> tuple:
         if all(m == 0 for m in minors2(u, v)):
             continue
         seen.add(canonicalize_symmetry(u, v))
-    out = []
-    for u, v in sorted(seen):
-        try:
-            if d_plane(u, v) == d:
-                out.append((u, v))
-        except UnsupportedRequest:
-            raise
-        except ValueError:
-            continue
-    return tuple(out)
+    return tuple((u, v) for u, v in sorted(seen) if d_plane(u, v) == d)

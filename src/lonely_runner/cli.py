@@ -9,7 +9,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .catalog import UnsupportedRequest, enumerate_2d_subtori
+from ._kernels import UnsupportedRequest
+from .catalog import enumerate_2d_subtori
 from .locus import finiteness, zero_locus
 from .spectrum import (
     DEFAULT_BOUND,

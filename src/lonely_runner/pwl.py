@@ -12,12 +12,11 @@ from ._kernels import UnsupportedRequest
 HALF = Fraction(1, 2)
 CHECK_PERIODS = 4  # a gamma table is compared with direct coset minima over this many periods past q0
 
-# most grid points one gamma table's self-check window may span (the sum of q over
-# q0 .. q0 + CHECK_PERIODS * modulus): 10x the most any table of the benchmark spans
-# (116,748, on 2,-2,3;0,-1,-3 with q0 1,658 and modulus 17) and 42x the test suite's
-# (27,985), while 5,-3,2;1,4,-3 has one of 10,567,095. It caps the window, not the
-# evaluations: each q of the window costs one direct minimum, O(breakpoints) whatever
-# q is, and a window within the budget holds at most 1,548 values of q
+# most pieces one gamma table's self-check may read, (CHECK_PERIODS * modulus + 1) times
+# its breakpoints, counted before any gamma is computed: the benchmark's largest table
+# reads 3,036 (2,-2,3;0,-1,-3, modulus 17, 44 pieces), the test suite's 36,640 and the
+# largest of 600 seeded planes (n 3-4, entries -5..5) 95,790, while on a 2-vCPU VM tables
+# near the cap take 3.8 s with 82 pieces (modulus 3,600) and 16 s with 8 (modulus 37,496)
 SELFCHECK_BUDGET = 1_200_000
 
 
@@ -196,38 +195,30 @@ class GammaTable:
     q0: int
 
 
-def table_window(f: CirclePWL, b: Fraction) -> tuple[int, int]:
-    """(q0, modulus) of the coset-minimum table of f against (b + Z)/q. A table whose
-    self-check window, q = q0 .. q0 + CHECK_PERIODS * modulus, spans more than
-    SELFCHECK_BUDGET grid points (the sum of q over that window) is refused."""
+def gamma_table(f: CirclePWL, b: Fraction) -> GammaTable:
+    """Build the coset-minimum table of f against the family (b + Z)/q, certified by the
+    direct coset minimum at every q of q0 .. q0 + CHECK_PERIODS * modulus. A table whose
+    self-check would read more than SELFCHECK_BUDGET pieces is refused before any gamma
+    is computed; that count also bounds the modulus * |argmins| approx calls."""
+    m = f.minimum
+    b = Fraction(b) % 1
     flats = f.flat_pieces_at_min()
     if flats:
         q0, mod = math.ceil(1 / max(bb - aa for aa, bb in flats)), 1
     else:
         iso = f.isolated_argmins()
-        mod = math.lcm(Fraction(b).denominator, *[t.denominator for t, _, _, _ in iso])
+        mod = math.lcm(b.denominator, *[t.denominator for t, _, _, _ in iso])
         rho_min = min(rho for _, _, _, rho in iso)
         lam_max = max(max(lm, lp) for _, lm, lp, _ in iso)
         # every minimum is isolated here, so the breakpoints above the minimum are
         # exactly those outside the argmin neighbourhoods
-        m = f.minimum
         d0 = min(v for v in f.values if v > m) - m
         q0 = max(math.ceil(1 / rho_min), math.floor(lam_max / d0) + 1)
-    last = q0 + CHECK_PERIODS * mod
-    if (q0 + last) * (last - q0 + 1) // 2 > SELFCHECK_BUDGET:
-        raise UnsupportedRequest(f"gamma table self-check needs more than {SELFCHECK_BUDGET} grid points")
-    return q0, mod
-
-
-def gamma_table(f: CirclePWL, b: Fraction) -> GammaTable:
-    """Build the coset-minimum table of f against the family (b + Z)/q, certified on a window."""
-    q0, mod = table_window(f, b)
-    m = f.minimum
-    b = Fraction(b) % 1
-    if f.flat_pieces_at_min():
+    if (CHECK_PERIODS * mod + 1) * len(f.breakpoints) > SELFCHECK_BUDGET:
+        raise UnsupportedRequest(f"gamma table self-check needs more than {SELFCHECK_BUDGET} piece reads")
+    if flats:
         gammas = [Fraction(0)]
     else:
-        iso = f.isolated_argmins()
         # residue 0 is read at q = mod
         gammas = [
             min(

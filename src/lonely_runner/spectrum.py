@@ -10,7 +10,7 @@ from itertools import combinations
 
 from ._kernels import UnsupportedRequest
 from .exact import Vec, gcd_ext, orient, primitive_kernel
-from .pwl import CirclePWL, coset_min_direct, gamma_table, table_window
+from .pwl import CirclePWL, coset_min_direct, gamma_table
 from .slices import check_plane_budget, diagonals, slice_structure
 from .torus import normal_plane, oracle_sweep
 
@@ -98,14 +98,14 @@ class ClassSetup:
 
     @property
     def m_prime(self) -> int:
-        """Common residue modulus: lcm of critical K values and gamma-table moduli. The
-        moduli come from the table windows, so no table is built here and a table past
-        the self-check budget is refused before any self-check runs."""
+        """Common residue modulus: the lcm of every critical gamma table's modulus, that is of
+        the critical K values and the argmin denominators of the critical restrictions not
+        flat at their minimum, since each offset's denominator divides its K. No table is
+        built here."""
         if self._m_prime is None:
-            crit = self.critical
-            windows = {c._coset_key(a): c.f for c in crit for a in range(c.K)}
-            mods = [table_window(f, Fraction(n, k))[1] for (_, n, k), f in windows.items()]
-            self._m_prime = math.lcm(*(c.K for c in crit), *mods)
+            fs = [c.f for c in self.critical if not c.f.flat_pieces_at_min()]
+            dens = [t.denominator for f in fs for t, _, _, _ in f.isolated_argmins()]
+            self._m_prime = math.lcm(*(c.K for c in self.critical), *dens)
         return self._m_prime
 
 

@@ -142,13 +142,22 @@ def test_d_basis_huge_saturation_index(capsys):
 
 
 def test_spectrum_past_selfcheck_budget_exit_3(capsys):
-    # one critical gamma table has q0 = 63,961 and modulus 41: its self-check would
-    # evaluate 10,567,095 grid points
+    # one critical restriction has 1,330 pieces and modulus 497, so its table's self-check
+    # would read 2,645,370 pieces; d needs no table
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "spectrum", "--basis", "10,11,-5;8,-15,14", "--bound", "3", "--format", "json")
+    assert time.perf_counter() - t0 < 5
+    assert code == 3
+    assert json.loads(out) == {"error": "gamma table self-check needs more than 1200000 piece reads"}
+    code, out, _ = run(capsys, "d", "--basis", "10,11,-5;8,-15,14")
+    assert (code, out) == (0, "1/994\n")
+    # one critical table has q0 = 63,961 and modulus 41; its self-check reads 165 q x 118
+    # pieces, within the budget, so the plane answers
     t0 = time.perf_counter()
     code, out, _ = run(capsys, "spectrum", "--basis", "5,-3,2;1,4,-3", "--bound", "3", "--format", "json")
     assert time.perf_counter() - t0 < 2
-    assert code == 3
-    assert "self-check" in json.loads(out)["error"]
+    assert code == 0
+    assert json.loads(out)["d_value"] == "1/82"
     code, out, _ = run(capsys, "d", "--basis", "5,-3,2;1,4,-3")
     assert (code, out) == (0, "1/82\n")
 
@@ -164,13 +173,13 @@ def test_spectrum_past_class_budget_exit_3(capsys, monkeypatch):
 
 
 def test_spectrum_many_breakpoints_refused_fast(capsys):
-    # the critical restrictions have 2,000 to 2,998 breakpoints, so every table window
-    # must read the minimum once, not once per value
+    # the critical restrictions have 2,000 to 2,998 breakpoints, so m' must read each
+    # one's argmins once, not once per offset, before the class budget refuses the plane
     t0 = time.perf_counter()
     code, out, _ = run(capsys, "spectrum", "--basis", "1,0,500;0,1,500", "--bound", "3")
     assert time.perf_counter() - t0 < 5
     assert code == 3
-    assert "self-check" in json.loads(out)["error"]
+    assert "class records" in json.loads(out)["error"]
 
 
 def test_d_basis(capsys):

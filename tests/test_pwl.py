@@ -403,7 +403,7 @@ def test_coset_min_direct_matches_full_grid_random():
 
 def test_coset_min_direct_matches_full_grid_golden_windows():
     # every slice restriction of the goldens, against each offset it is read at, at the
-    # q0 and the last q of that table window; the critical ones are the tables built
+    # q0 and the last q of that table's window; the critical ones are the tables built
     for plane in GOLDEN_PLANES:
         setup = class_setup(*plane)
         windows = {c._coset_key(a): c.f for c in setup.comps for a in range(c.K)}
@@ -411,10 +411,11 @@ def test_coset_min_direct_matches_full_grid_golden_windows():
         for key, f in windows.items():
             b = F(key[1], key[2])
             try:
-                q0, mod = pwl.table_window(f, b)
+                table = gamma_table(f, b)
             except UnsupportedRequest:
                 assert key not in tables
                 continue
+            q0, mod = table.q0, table.modulus
             for q in (q0, q0 + pwl.CHECK_PERIODS * mod):
                 assert coset_min_direct(f, b, q) == grid_min(f, b, q), (plane, key, q)
 
@@ -436,18 +437,19 @@ def test_gamma_table_flat_route():
         assert coset_min_direct(f, F(0), q) == F(1, 4)
 
 
-def test_gamma_table_selfcheck_budget_counts_grid_points(monkeypatch):
-    # the budget caps the window, not the evaluations: it counts q grid points for each q
-    # in q0 .. q0 + CHECK_PERIODS * modulus, though each q costs one per-piece minimum
+def test_gamma_table_selfcheck_budget_counts_piece_reads(monkeypatch):
+    # each q of q0 .. q0 + CHECK_PERIODS * modulus reads every piece once, whatever q is
     f = build_restriction((0, 0, 0, 0), (1, 1, 2, 3))
-    q0, mod = pwl.table_window(f, F(0))
-    points = sum(range(q0, q0 + pwl.CHECK_PERIODS * mod + 1))
-    monkeypatch.setattr(pwl, "SELFCHECK_BUDGET", points - 1)
-    with pytest.raises(UnsupportedRequest, match="grid points"):
-        gamma_table(f, F(0))
-    monkeypatch.setattr(pwl, "SELFCHECK_BUDGET", points)
     table = gamma_table(f, F(0))
-    assert (table.q0, table.modulus) == (q0, mod)
+    reads = (pwl.CHECK_PERIODS * table.modulus + 1) * len(f.breakpoints)
+    real = pwl.approx
+    monkeypatch.setattr(pwl, "SELFCHECK_BUDGET", reads - 1)
+    monkeypatch.setattr(pwl, "approx", None)  # refused before any gamma is computed
+    with pytest.raises(UnsupportedRequest, match="piece reads"):
+        gamma_table(f, F(0))
+    monkeypatch.setattr(pwl, "approx", real)
+    monkeypatch.setattr(pwl, "SELFCHECK_BUDGET", reads)
+    assert gamma_table(f, F(0)) == table
 
 
 @pytest.mark.parametrize("residue, corrupt", [(r, "larger") for r in range(4)] + [(r, "zero") for r in (1, 2, 3)])

@@ -12,6 +12,7 @@ from goldens import (
     STRIP_TENTH_A,
     STRIP_TENTH_B,
 )
+from lonely_runner._kernels import UnsupportedRequest
 from lonely_runner.exact import orient
 from lonely_runner.spectrum import SpectrumAnalysis, certify, class_setup, halfline_analysis
 from lonely_runner.torus import d_line_oracle, normal_plane, oracle_sweep
@@ -21,6 +22,15 @@ BOUND = 12
 PER_ROUTE = 4
 ROUTES = ("sector", "lines", "finite")
 PICKS = 2  # family or base records checked at their thresholds on each random half-line
+# sector planes whose largest critical q0 (63,961, 32,737 and 37,008) puts every pair
+# predict covers far outside any sweep box
+LARGE_Q0_PLANES = (
+    ((5, -3, 2), (1, 4, -3)),
+    ((3, 4, 1), (-4, 3, -1)),
+    ((4, -5, -4), (-4, -1, 5)),
+)
+LARGE_Q0_DRAWS = 150  # seeded pairs drawn on each of them
+LARGE_Q0_CHECKED = 85  # pairs of those draws compared with the oracle when the floor was set
 
 
 def route_of(u, v):
@@ -156,3 +166,37 @@ def test_random_plane_against_oracle(planes, route, k):
     )
     assert report.total == labelled == coprime_pairs(BOUND), (u, v)
     assert report.exceptional == desc.exceptional_values, (u, v)
+
+
+def past_every_q0(setup, A, B):
+    """Whether every critical component's |q| at (A, B) is at least its table's q0."""
+    for c in setup.critical:
+        q = c.q_of(A, B)
+        if q == 0 or abs(q) < setup.coset(c, A, B, 1 if q > 0 else -1)[1]:
+            return False
+    return True
+
+
+def test_large_q0_planes_predict_lines():
+    # pairs (A, B) with 0 < A <= R and |B| <= R, R the plane's largest q0, past every
+    # critical q0; lines whose oracle scan is refused are skipped
+    rng = random.Random(SEED)
+    checked = 0
+    for u, v in LARGE_Q0_PLANES:
+        ana = SpectrumAnalysis(u, v)
+        s = ana.setup
+        tables = [s.table(c, a) for c in s.critical for a in range(c.K)]
+        assert s.m_prime == math.lcm(*(c.K for c in s.critical), *(t.modulus for t in tables))
+        R = max(t.q0 for t in tables)
+        for _ in range(LARGE_Q0_DRAWS):
+            A, B = rng.randint(1, R), rng.randint(-R, R)
+            w = tuple(A * a + B * b for a, b in zip(s.u, s.v))
+            if math.gcd(A, B) != 1 or 0 in w or not past_every_q0(s, A, B):
+                continue
+            try:
+                want = d_line_oracle(w)
+            except UnsupportedRequest:
+                continue
+            assert ana.predict(A, B) == want, (u, v, A, B)
+            checked += 1
+    assert checked >= LARGE_Q0_CHECKED
