@@ -8,7 +8,8 @@ import os
 
 import numpy as np
 
-# keeps every int64 product inside the numpy row overflow-safe
+# only perfbench/spans.py's python_fallbacks counter reads this; the next benchmark change
+# deletes both
 MAX_ABS = 500_000_000
 
 # under the numpy backend a row of more than this many (d // 2) * n steps is vectorized and a
@@ -21,7 +22,8 @@ ROW_CUTOFF = 200
 # most steps one line of n speeds may take, n * (n - 1) for its pair moduli and (d // 2) * n
 # for each scanned modulus d: 14x the most any line of the test suite takes (69,832, on 7
 # speeds) and 196x the benchmark's (5,082), and small enough that the numpy row's
-# (d // 2) x n arrays stay in memory and a python scan ends in seconds
+# (d // 2) x n arrays stay in memory and a python scan ends in seconds; it also bounds the
+# modulus d of any row that runs, which keeps the numpy row exact in int64
 WORK_BUDGET = 1_000_000
 
 # most (A, B) points one sweep box may hold, so bound <= 999: 11x the largest box of the
@@ -43,11 +45,11 @@ class UnsupportedRequest(ValueError):
 
 
 def backend() -> str:
-    """Return the active kernel backend from LONELY_RUNNER_KERNEL: python, or numpy (auto)."""
-    mode = os.environ.get("LONELY_RUNNER_KERNEL", "auto")
-    if mode not in ("auto", "numpy", "python"):
+    """Return the active kernel backend from LONELY_RUNNER_KERNEL: python, or numpy (unset)."""
+    mode = os.environ.get("LONELY_RUNNER_KERNEL", "numpy")
+    if mode not in ("numpy", "python"):
         raise ValueError(f"unknown kernel backend {mode!r}")
-    return "numpy" if mode == "auto" else mode
+    return mode
 
 
 def dedup_speeds(w) -> list[int]:
@@ -90,16 +92,12 @@ def _row(w, d, best_n, best_d):
 
 def _row_numpy(w, d, best_n, best_d):
     """_row vectorized over k."""
+    # a row runs only within WORK_BUDGET, so d <= 10**6 + 1: with each speed reduced mod d
+    # first, every product k * (w_m % d) stays below 5 * 10**11, exact in int64 at any speeds
     ks = np.arange(1, d // 2 + 1, dtype=np.int64)
-    r = (ks[:, None] * np.asarray(w, dtype=np.int64)[None, :]) % d
+    r = (ks[:, None] * np.array([wm % d for wm in w], dtype=np.int64)[None, :]) % d
     cand = int(np.abs(2 * r - d).max(axis=1).min())
     return (cand, 2 * d) if cand * best_d < 2 * d * best_n else (best_n, best_d)
-
-
-def _vectorize(scale: int) -> bool:
-    """Whether rows past ROW_CUTOFF steps run as _row_numpy: on the numpy backend, unless
-    int64 could overflow at speeds up to scale; every other row runs as _row."""
-    return backend() == "numpy" and scale <= MAX_ABS
 
 
 def _d_line(vectorize: bool, w: list[int]) -> tuple[int, int]:
@@ -129,7 +127,7 @@ def _d_line(vectorize: bool, w: list[int]) -> tuple[int, int]:
 
 def d_line_raw(w: list[int]) -> tuple[int, int]:
     """Dispatch the per-line kernel; w positive deduplicated speeds, len >= 2."""
-    return _d_line(_vectorize(max(w)), w)
+    return _d_line(backend() == "numpy", w)
 
 
 def sweep_raw(
@@ -144,7 +142,7 @@ def sweep_raw(
     scanned reuses its (num, den)."""
     if (bound + 1) * (2 * bound + 1) > BOX_BUDGET:
         raise UnsupportedRequest(f"sweep box of bound {bound} holds more than {BOX_BUDGET} points")
-    vectorize = _vectorize(bound * max(abs(a) + abs(b) for a, b in zip(u, v)))
+    vectorize = backend() == "numpy"
     seen = {}  # sorted absolute speeds -> raw (num, den)
     out = []
     for A in range(bound + 1):

@@ -293,11 +293,15 @@ def test_self_check_failure_exit_4(capsys, monkeypatch):
 
 
 def test_unknown_kernel_backend_exit_1(capsys, monkeypatch):
-    monkeypatch.setenv("LONELY_RUNNER_KERNEL", "numba")
-    error = "unknown kernel backend 'numba'"
-    assert run(capsys, "d", "--vector", "1,2,3") == (1, "", f"error: {error}\n")
-    code, out, _ = run(capsys, "d", "--vector", "1,2,3", "--format", "json")
-    assert (code, json.loads(out)) == (1, {"error": error})
+    # neither names a backend: numpy is the default, python the reference
+    for mode in ("numba", "auto"):
+        monkeypatch.setenv("LONELY_RUNNER_KERNEL", mode)
+        error = f"unknown kernel backend {mode!r}"
+        assert run(capsys, "d", "--vector", "1,2,3") == (1, "", f"error: {error}\n")
+        code, out, _ = run(capsys, "d", "--vector", "1,2,3", "--format", "json")
+        assert (code, json.loads(out)) == (1, {"error": error})
+    monkeypatch.delenv("LONELY_RUNNER_KERNEL")
+    assert run(capsys, "d", "--vector", "1,2,3") == (0, "1/4\n", "")
 
 
 def test_argparse_rejects_unknown_choice():

@@ -47,22 +47,46 @@ def test_numpy_rows_match_python_raw(monkeypatch, cutoff):
     assert [_kernels.sweep_raw(u, v, 8) for u, v in GOLDEN_PLANES] == sweeps
 
 
-def test_big_entries_fall_back_to_python(monkeypatch):
-    # the line reaches 0 on modulus 204, a 306-step row that numpy vectorizes, and its int64
-    # products overflow: above MAX_ABS only the python row gets it right
-    w = [10**17 + 1, 10**17 + 255, 10**17 + 459]
-    for mode in BACKENDS:
-        monkeypatch.setenv("LONELY_RUNNER_KERNEL", mode)
-        assert _kernels.d_line_raw(w) == (0, 408), mode
-    monkeypatch.setattr(_kernels, "MAX_ABS", 10**18)
-    try:
-        assert _kernels.d_line_raw(w) != (0, 408)
-    except _kernels.UnsupportedRequest:
-        pass
+def test_numpy_rows_exact_at_big_speeds(monkeypatch):
+    # speeds near 10**9, 10**12, 10**17 and 10**30 whose pair differences are small moduli;
+    # a line finishes when one of them takes it to 0 and is refused at its first pair sum.
+    # The numpy row reduces each speed mod d before its int64 products, so it equals the
+    # python row at any speeds, vectorized (cutoff 0) or by size (cutoff 200)
+    rng = random.Random(404)
+    lines = []
+    for _ in range(400):
+        base = rng.choice((10**9, 10**12, 10**17, 10**30))
+        lines.append([base + x for x in rng.sample(range(1, 1001), rng.randint(2, 5))])
+
+    def outcomes():
+        out = []
+        for w in lines:
+            try:
+                out.append(_kernels.d_line_raw(w))
+            except _kernels.UnsupportedRequest:
+                out.append(None)
+        return out
+
+    monkeypatch.setenv("LONELY_RUNNER_KERNEL", "python")
+    expect = outcomes()
+    assert sum(x is not None for x in expect) >= 30
+    vectorized = _kernels._row_numpy
+    biggest = []
+
+    def spy(w, *args):
+        biggest.append(max(w))
+        return vectorized(w, *args)
+
+    monkeypatch.setattr(_kernels, "_row_numpy", spy)
+    monkeypatch.setenv("LONELY_RUNNER_KERNEL", "numpy")
+    for cutoff in (0, 200):
+        monkeypatch.setattr(_kernels, "ROW_CUTOFF", cutoff)
+        assert outcomes() == expect, cutoff
+    assert max(biggest) > 2**63
 
 
 def test_importable_numba_changes_nothing(monkeypatch, tmp_path):
-    # a numba stub first on a child's path: auto still means numpy, and the sweep is python's
+    # a numba stub first on a child's path: unset still means numpy, and the sweep is python's
     (tmp_path / "numba.py").write_text("njit = lambda *a, **k: a[0] if a else lambda f: f\n")
     src = str(Path(_kernels.__file__).resolve().parents[1])
     env = {k: x for k, x in os.environ.items() if k != "LONELY_RUNNER_KERNEL"}
@@ -132,7 +156,7 @@ def test_sweep_raw_scans_each_speed_set_once(monkeypatch, mode, cutoff):
 
     monkeypatch.setattr(_kernels, "_d_line", counting)
     for u, v in GOLDEN_PLANES:
-        vectorize = _kernels._vectorize(12 * max(abs(a) + abs(b) for a, b in zip(u, v)))
+        vectorize = mode == "numpy"
         for inner in (0, 6):
             del calls[:]
             rows = _kernels.sweep_raw(u, v, 12, inner=inner)

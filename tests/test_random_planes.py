@@ -1,5 +1,6 @@
 """Seeded differential suite: random small planes on every analysis route against the oracle."""
 
+import functools
 import math
 import random
 
@@ -15,7 +16,7 @@ from goldens import (
 from lonely_runner._kernels import UnsupportedRequest
 from lonely_runner.exact import orient
 from lonely_runner.spectrum import SpectrumAnalysis, certify, class_setup, halfline_analysis
-from lonely_runner.torus import d_line_oracle, normal_plane, oracle_sweep
+from lonely_runner.torus import d_line_oracle, d_plane, normal_plane, oracle_sweep
 
 SEED = 1
 BOUND = 12
@@ -31,6 +32,10 @@ LARGE_Q0_PLANES = (
 )
 LARGE_Q0_DRAWS = 150  # seeded pairs drawn on each of them
 LARGE_Q0_CHECKED = 85  # pairs of those draws compared with the oracle when the floor was set
+# a finite-route plane (n = 5, d = 1/4) from block draws, where each coordinate is mostly in
+# u or mostly in v; uniform draws give none
+BLOCK_FINITE = ((-1, -1, 3, 0, 0), (0, -1, 0, 1, 3))
+IMAGE_BOUND = 6  # box of the descriptions compared across images
 
 
 def route_of(u, v):
@@ -53,21 +58,36 @@ def uniform_planes(rng):
         yield u, v
 
 
+def signed_permutation(rng, u, v):
+    """(u, v) with its coordinates permuted and sign-flipped by one seeded draw."""
+    n = len(u)
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    return (
+        tuple(signs[k] * u[perm[k]] for k in range(n)),
+        tuple(signs[k] * v[perm[k]] for k in range(n)),
+    )
+
+
+def basis_change(rng, u, v):
+    """Three unimodular basis changes (u, v) -> (v, u + k*v), k drawn in -2..2."""
+    for _ in range(3):
+        k = rng.randint(-2, 2)
+        u, v = v, tuple(a + k * b for a, b in zip(u, v))
+    return u, v
+
+
 def finite_images(rng):
-    """Signed coordinate permutations of FINITE_THREE_TENTHS, then three unimodular
-    basis changes (u, v) -> (v, u + k*v). Uniform draws almost never take the finite
-    route (none in 977 draws)."""
-    u0, v0 = FINITE_THREE_TENTHS
-    n = len(u0)
+    """Signed coordinate permutations of FINITE_THREE_TENTHS, then basis changes.
+    Uniform draws almost never take the finite route (none in 977 draws)."""
     while True:
-        perm = rng.sample(range(n), n)
-        signs = [rng.choice((1, -1)) for _ in range(n)]
-        u = [signs[k] * u0[perm[k]] for k in range(n)]
-        v = [signs[k] * v0[perm[k]] for k in range(n)]
-        for _ in range(3):
-            k = rng.randint(-2, 2)
-            u, v = v, [a + k * b for a, b in zip(u, v)]
-        yield tuple(u), tuple(v)
+        yield basis_change(rng, *signed_permutation(rng, *FINITE_THREE_TENTHS))
+
+
+@pytest.fixture(scope="module")
+def analysis():
+    """SpectrumAnalysis of a plane, built once for the tests of this module."""
+    return functools.cache(SpectrumAnalysis)
 
 
 @pytest.fixture(scope="module")
@@ -140,9 +160,9 @@ def test_base_record_thresholds():
 
 @pytest.mark.parametrize("k", range(PER_ROUTE))
 @pytest.mark.parametrize("route", ROUTES)
-def test_random_plane_against_oracle(planes, route, k):
+def test_random_plane_against_oracle(planes, analysis, route, k):
     u, v = planes[route][k]
-    ana = SpectrumAnalysis(u, v)
+    ana = analysis(u, v)
     assert ana.route == route, (u, v)
     s = ana.setup
     if route == "lines":
@@ -200,3 +220,24 @@ def test_large_q0_planes_predict_lines():
             assert ana.predict(A, B) == want, (u, v, A, B)
             checked += 1
     assert checked >= LARGE_Q0_CHECKED
+
+
+def invariants(analysis, u, v):
+    """What a plane's image must keep: d, the route, base reachability and the families."""
+    ana = analysis(u, v)
+    families = [(p.alpha, p.beta) for p in ana.description(IMAGE_BOUND).progressions]
+    return d_plane(u, v), ana.route, ana.base_reachable, families
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_invariants_under_plane_images(planes, analysis, route):
+    # a signed coordinate permutation of each plane maps it onto an isomorphic subtorus, and
+    # a unimodular basis change of that image spans the same one
+    rng = random.Random(SEED)
+    for u, v in planes[route] + ([BLOCK_FINITE] if route == "finite" else []):
+        want = invariants(analysis, u, v)
+        assert want[1] == route, (u, v)
+        image = signed_permutation(rng, u, v)
+        assert invariants(analysis, *image) == want, (u, v, image)
+        image = basis_change(rng, *image)
+        assert invariants(analysis, *image) == want, (u, v, image)
