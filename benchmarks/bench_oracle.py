@@ -2,7 +2,9 @@
 
 Besides each backend, the numpy backend runs twice more with _kernels.ROW_CUTOFF set
 so that every row is looped (numpy-loop) and every row is vectorized (numpy-vector);
-comparing those two with numpy at the chosen cutoff measures the cutoff again."""
+comparing those two with numpy at the chosen cutoff measures the cutoff again. A last
+numpy run (numpy-floor) sweeps with the plane's d_plane as floor, as the spectrum
+analysis does, and must return the python backend's unfloored rows."""
 
 import argparse
 import json
@@ -14,6 +16,7 @@ import numpy
 
 from lonely_runner import _kernels
 from lonely_runner._kernels import backend, sweep_raw
+from lonely_runner.torus import d_plane
 
 PLANES = {
     "strip-quarter": ((0, 1, 2, 3), (1, 0, 0, 0)),
@@ -23,15 +26,15 @@ PLANES = {
 }
 
 
-def run_backend(mode, cutoff, u, v, bound, repeats):
+def run_backend(mode, cutoff, floor, u, v, bound, repeats):
     os.environ["LONELY_RUNNER_KERNEL"] = mode
     _kernels.ROW_CUTOFF = cutoff
-    sweep_raw(u, v, 5)  # warm up
+    sweep_raw(u, v, 5, floor=floor)  # warm up
     best = None
     rows = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        rows = sweep_raw(u, v, bound)
+        rows = sweep_raw(u, v, bound, floor=floor)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return best, rows
@@ -47,12 +50,14 @@ def main():
     args = ap.parse_args()
     u, v = PLANES[args.plane]
     cutoff = args.cutoff
-    # label -> (backend, ROW_CUTOFF)
+    d = d_plane(u, v)
+    # label -> (backend, ROW_CUTOFF, floor)
     runs = {
-        "python": ("python", cutoff),
-        "numpy": ("numpy", cutoff),
-        "numpy-loop": ("numpy", 10**18),
-        "numpy-vector": ("numpy", 0),
+        "python": ("python", cutoff, (0, 1)),
+        "numpy": ("numpy", cutoff, (0, 1)),
+        "numpy-loop": ("numpy", 10**18, (0, 1)),
+        "numpy-vector": ("numpy", 0, (0, 1)),
+        "numpy-floor": ("numpy", cutoff, (d.numerator, d.denominator)),
     }
     env = {
         "python": sys.version.split()[0],

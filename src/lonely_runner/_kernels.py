@@ -100,17 +100,21 @@ def _row_numpy(w, d, best_n, best_d):
     return (cand, 2 * d) if cand * best_d < 2 * d * best_n else (best_n, best_d)
 
 
-def _d_line(vectorize: bool, w: list[int]) -> tuple[int, int]:
+def _d_line(vectorize: bool, w: list[int], floor: tuple[int, int] = (0, 1)) -> tuple[int, int]:
     """Unreduced (num, den) of the line minimum of w, positive deduplicated speeds
     (n = len(w) >= 2), scanning each distinct nonzero pairwise sum and difference d
-    in increasing order. The work counts n * (n - 1) steps for the pair moduli, then
-    (d // 2) * n for each scanned modulus d; a line that would pass WORK_BUDGET is
-    refused, before its pair moduli are built if they alone would pass it."""
+    in increasing order. The scan stops once the best value reaches floor, a lower bound
+    (num, den) on the line's minimum: 0 by default, or the distance of a plane holding the
+    line, since no later modulus can go below it. A best value strictly below floor means
+    the floor was not a lower bound, and raises RuntimeError. The work counts n * (n - 1)
+    steps for the pair moduli, then (d // 2) * n for each scanned modulus d up to the
+    exit; a line that would pass WORK_BUDGET is refused, before its pair moduli are built
+    if they alone would pass it."""
     n = len(w)
     steps = n * (n - 1)
     best_n, best_d = 1, 2
     for d in _pair_moduli(w) if steps <= WORK_BUDGET else ():
-        if best_n == 0:
+        if best_n * floor[1] <= floor[0] * best_d:
             break
         if d < 2 or (d % 2 == 1 and best_d >= 2 * d * best_n):
             continue
@@ -122,6 +126,11 @@ def _d_line(vectorize: bool, w: list[int]) -> tuple[int, int]:
         best_n, best_d = row(w, d, best_n, best_d)
     if steps > WORK_BUDGET:
         raise UnsupportedRequest(f"line oracle needs more than {WORK_BUDGET} scan steps")
+    if best_n * floor[1] < floor[0] * best_d:
+        raise RuntimeError(
+            f"line of speeds {w} has minimum {best_n}/{best_d} below the floor "
+            f"{floor[0]}/{floor[1]}"
+        )
     return int(best_n), int(best_d)
 
 
@@ -131,15 +140,24 @@ def d_line_raw(w: list[int]) -> tuple[int, int]:
 
 
 def sweep_raw(
-    u: tuple[int, ...], v: tuple[int, ...], bound: int, *, inner: int = 0
+    u: tuple[int, ...],
+    v: tuple[int, ...],
+    bound: int,
+    *,
+    inner: int = 0,
+    floor: tuple[int, int] = (0, 1),
 ) -> list[tuple[int, int, int, int]]:
     """Rows (A, B, num, den) over the parameter box, skipping every pair with
     max(A, |B|) <= inner; den = 0 marks an improper line.
 
+    floor (num, den) is handed to every line scan. Every line of the box lies in the plane
+    span(u, v), so the plane's distance is a lower bound on each line's minimum and, passed
+    as floor, returns the same rows as the default 0 with fewer moduli scanned.
+
     Each distinct set of absolute speeds is scanned once per call: _d_line's result, its
     steps and any refusal depend only on that set (the moduli are sorted, each row takes a
-    max over the speeds, and vectorize is fixed for the call), so a line whose set was already
-    scanned reuses its (num, den)."""
+    max over the speeds, and vectorize and floor are fixed for the call), so a line whose
+    set was already scanned reuses its (num, den)."""
     if (bound + 1) * (2 * bound + 1) > BOX_BUDGET:
         raise UnsupportedRequest(f"sweep box of bound {bound} holds more than {BOX_BUDGET} points")
     vectorize = backend() == "numpy"
@@ -160,6 +178,6 @@ def sweep_raw(
                 key = tuple(sorted(wd))
                 raw = seen.get(key)
                 if raw is None:
-                    raw = seen[key] = _d_line(vectorize, wd)
+                    raw = seen[key] = _d_line(vectorize, wd, floor)
                 out.append((A, B, *raw))
     return out

@@ -463,7 +463,8 @@ class SpectrumAnalysis:
         d = s.d_value
         fams = sorted({(a, normalize_beta(a, b, d)) for a, b in self.families})
         fams = _absorb(fams)
-        sweep = oracle_sweep(s.u, s.v, certify_bound)
+        # every line of the box lies in the plane, so its scan may stop at the plane's d
+        sweep = oracle_sweep(s.u, s.v, certify_bound, floor=d)
         index = _value_index(sweep)
         progs = []
         for a, b in fams:

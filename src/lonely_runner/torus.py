@@ -109,7 +109,7 @@ _SWEEP_CACHE: dict = {}  # (u, v) -> (largest bound swept, its values)
 
 
 def oracle_sweep(
-    u: Vec, v: Vec, bound: int
+    u: Vec, v: Vec, bound: int, *, floor: Fraction = Fraction(0)
 ) -> MappingProxyType[tuple[int, int], Fraction | None]:
     """Map (A, B) over the coprime parameter box to D of the line through A*u + B*v.
 
@@ -117,10 +117,16 @@ def oracle_sweep(
     None marks an improper line. Each plane keeps one cache entry, its largest box
     swept so far: a smaller box is filtered from it, and a larger one sweeps only the
     new shell. The read-only view returned holds exactly the requested box.
+
+    floor, when given, must be d_plane(u, v): each line scan of the shell swept stops
+    once it reaches that value, and a line found below it raises RuntimeError. Its
+    values equal an unfloored sweep's, so the cache entry serves both.
     """
     swept, values = _SWEEP_CACHE.get((u, v), (0, {}))
     if bound > swept:
-        rows = _kernels.sweep_raw(u, v, bound, inner=swept)
+        rows = _kernels.sweep_raw(
+            u, v, bound, inner=swept, floor=(floor.numerator, floor.denominator)
+        )
         values = dict(values)  # a new dict: views of the smaller box keep their contents
         values.update(((A, B), None if den == 0 else Fraction(num, den)) for A, B, num, den in rows)
         _SWEEP_CACHE[(u, v)] = bound, values

@@ -12,10 +12,16 @@ import pytest
 
 from goldens import FINITE_THREE_TENTHS, SECTOR_QUARTER, SECTOR_THIRD, STRIP_QUARTER, TENTH_PLANES
 from lonely_runner import _kernels
-from lonely_runner.torus import d_line_oracle
+from lonely_runner.torus import d_line_oracle, d_plane
+from test_random_planes import BLOCK_FINITE, ROUTES, finite_images, route_of, uniform_planes
 
 BACKENDS = ["python", "numpy"]
 GOLDEN_PLANES = (STRIP_QUARTER, SECTOR_QUARTER, *TENTH_PLANES, SECTOR_THIRD, FINITE_THREE_TENTHS)
+FLOOR_SEED = 22
+FLOOR_PER_ROUTE = 3  # seeded random planes of each route swept with and without the floor
+FLOOR_BOUND = 12
+# the goldens, BLOCK_FINITE and FLOOR_PER_ROUTE draws of each route; every one is compared
+FLOOR_PLANES_REQUIRED = len(GOLDEN_PLANES) + 1 + FLOOR_PER_ROUTE * len(ROUTES)
 
 
 def test_dedup_speeds():
@@ -150,9 +156,9 @@ def test_sweep_raw_scans_each_speed_set_once(monkeypatch, mode, cutoff):
     cold = _kernels._d_line
     calls = []
 
-    def counting(vectorize, w):
+    def counting(vectorize, w, floor=(0, 1)):
         calls.append(tuple(sorted(w)))
-        return cold(vectorize, w)
+        return cold(vectorize, w, floor)
 
     monkeypatch.setattr(_kernels, "_d_line", counting)
     for u, v in GOLDEN_PLANES:
@@ -194,3 +200,59 @@ def test_d_line_raw_ignores_speed_order(monkeypatch, cutoff):
             assert {_kernels.d_line_raw(list(p)) for p in orders} == {
                 _kernels.d_line_raw(sorted(w))
             }, (mode, w)
+
+
+def floor_planes():
+    """The goldens, the block-draw finite plane, then FLOOR_PER_ROUTE seeded planes of each
+    route: uniform draws for sector and lines, images of FINITE_THREE_TENTHS for finite."""
+    rng = random.Random(FLOOR_SEED)
+    drawn = {route: [] for route in ROUTES}
+    for u, v in uniform_planes(rng):
+        route = route_of(u, v)
+        if len(drawn[route]) < FLOOR_PER_ROUTE:
+            drawn[route].append((u, v))
+        if len(drawn["sector"]) == len(drawn["lines"]) == FLOOR_PER_ROUTE:
+            break
+    images = finite_images(rng)
+    drawn["finite"] += [next(images) for _ in range(FLOOR_PER_ROUTE - len(drawn["finite"]))]
+    assert [route_of(*p) for p in drawn["finite"]] == ["finite"] * FLOOR_PER_ROUTE
+    return [*GOLDEN_PLANES, BLOCK_FINITE, *(p for r in ROUTES for p in drawn[r])]
+
+
+@pytest.mark.parametrize("mode", BACKENDS)
+def test_floored_sweep_equals_unfloored(monkeypatch, mode):
+    # a line of the plane has D >= d_plane, so a scan stopped there returns the unfloored
+    # raw row; a floor just above the least value in the box is no lower bound and raises
+    monkeypatch.setenv("LONELY_RUNNER_KERNEL", mode)
+    compared = 0
+    for u, v in floor_planes():
+        d = d_plane(u, v)
+        rows = _kernels.sweep_raw(u, v, FLOOR_BOUND)
+        assert _kernels.sweep_raw(u, v, FLOOR_BOUND, floor=(d.numerator, d.denominator)) == rows
+        compared += 1
+        least = min(Fraction(num, den) for _, _, num, den in rows if den)
+        assert least >= d, (u, v)
+        # a line value is x / (2 * m) for a modulus m <= 2 * wmax, so two of them differ by
+        # more than 1 / (4 * wmax * den)
+        wmax = FLOOR_BOUND * max(abs(a) + abs(b) for a, b in zip(u, v))
+        above = least + Fraction(1, 8 * wmax * least.denominator)
+        with pytest.raises(RuntimeError, match="below the floor"):
+            _kernels.sweep_raw(u, v, FLOOR_BOUND, floor=(above.numerator, above.denominator))
+    assert compared >= FLOOR_PLANES_REQUIRED
+    # the floor saves rows: STRIP_QUARTER's flat lines stop at d = 1/4
+    scanned = []
+    for name in ("_row", "_row_numpy"):
+        cold = getattr(_kernels, name)
+
+        def spy(w, m, *best, cold=cold):
+            scanned.append(m)
+            return cold(w, m, *best)
+
+        monkeypatch.setattr(_kernels, name, spy)
+    u, v = STRIP_QUARTER
+    _kernels.sweep_raw(u, v, FLOOR_BOUND)
+    unfloored = len(scanned)
+    del scanned[:]
+    d = d_plane(u, v)
+    _kernels.sweep_raw(u, v, FLOOR_BOUND, floor=(d.numerator, d.denominator))
+    assert 0 < len(scanned) < unfloored

@@ -210,8 +210,8 @@ def test_oracle_sweep_one_entry_per_plane(monkeypatch):
     cold = _kernels.sweep_raw
     calls = []
 
-    def counting(u, v, bound, *, inner=0):
-        rows = cold(u, v, bound, inner=inner)
+    def counting(u, v, bound, *, inner=0, floor=(0, 1)):
+        rows = cold(u, v, bound, inner=inner, floor=floor)
         calls.append((bound, inner, len(rows)))
         return rows
 
