@@ -52,8 +52,8 @@ class CirclePWL:
     def flat_pieces_at_min(self) -> list[tuple[Fraction, Fraction]]:
         """Maximal closed intervals (a, b), b <= a+1, on which f equals its minimum.
 
-        Reads the canonical form make_pwl builds, with a breakpoint exactly where the
-        slope changes: each piece is then one segment whose two ends sit at the minimum,
+        Reads the canonical form build_restriction builds, with a breakpoint exactly where
+        the slope changes: each piece is then one segment whose two ends sit at the minimum,
         and a constant is its single breakpoint 0, so the piece (0, 1). On a hand-built
         function with collinear breakpoints the pieces come unmerged, segment by segment.
         """
@@ -83,34 +83,6 @@ class CirclePWL:
         return out
 
 
-def make_pwl(points: list[tuple[Fraction, Fraction]]) -> CirclePWL:
-    """Build a CirclePWL from (t, value) samples, deduplicating and removing collinear points."""
-    seen = {}
-    for t, v in points:
-        t = Fraction(t) % 1
-        if t in seen and seen[t] != v:
-            raise ValueError("conflicting samples at one breakpoint")
-        seen[t] = Fraction(v)
-    pts = sorted(seen.items())
-    if len({v for _, v in pts}) == 1:
-        return CirclePWL((Fraction(0),), (pts[0][1],))
-    # a point stays iff the slope changes there; dropping a collinear point
-    # leaves its neighbours' slopes unchanged, so one pass finds them all
-    n = len(pts)
-    kept = []
-    for i in range(n):
-        t0, v0 = pts[i - 1]
-        t1, v1 = pts[i]
-        t2, v2 = pts[(i + 1) % n]
-        if i == 0:
-            t0 -= 1
-        if i == n - 1:
-            t2 += 1
-        if (v1 - v0) * (t2 - t1) != (v2 - v1) * (t1 - t0):
-            kept.append((t1, v1))
-    return CirclePWL(tuple(t for t, _ in kept), tuple(v for _, v in kept))
-
-
 def build_restriction(
     base: tuple[Fraction | int, ...], direction: tuple[int, ...]
 ) -> CirclePWL:
@@ -118,22 +90,47 @@ def build_restriction(
 
     The envelope can bend only where some x_k = 0 or 1/2 mod 1 (a coordinate's own
     kinks) or x_a = +-x_b mod 1 (two coordinates tie). Each such event is c + t*d in Z;
-    with d != 0 its solutions mod 1 are t = (m - c)/d, m = 0..|d|-1. make_pwl keeps
-    exactly the samples where the slope changes.
+    with d != 0 its solutions mod 1 are t = (m - c)/d, m = 0..|d|-1. With Q the lcm of
+    the base's denominators, D = 2*Q*lcm(|d|) makes every solution T/D and the envelope
+    there V/(2D) for integers T and V, so the samples are sorted and compressed as
+    integer pairs, and only the breakpoints kept, where the slope changes, become Fractions.
     """
     if len(base) != len(direction):
         raise ValueError("base/direction length mismatch")
     if all(d == 0 for d in direction):
         raise ValueError("degenerate direction")
-    lines = [(Fraction(c), d) for c, d in zip(base, direction)]
-    events = [(c - h, d) for c, d in lines for h in (0, HALF)]
+    base = [Fraction(c) for c in base]
+    q = math.lcm(*(c.denominator for c in base))
+    coords = [(c.numerator * (q // c.denominator), d) for c, d in zip(base, direction)]
+    # (N, d) of each event N/(2Q) + t*d in Z
+    events = [(2 * c - h, d) for c, d in coords for h in (0, q)]
     events += [
-        (ca + s * cb, da + s * db)
-        for (ca, da), (cb, db) in combinations(lines, 2)
+        (2 * (ca + s * cb), da + s * db)
+        for (ca, da), (cb, db) in combinations(coords, 2)
         for s in (1, -1)
     ]
-    ts = {Fraction(m - c, d) % 1 for c, d in events if d for m in range(abs(d))}
-    return make_pwl([(t, max(dist_to_half(c + t * d) for c, d in lines)) for t in ts])
+    events = [(n, d) for n, d in events if d]
+    big = 2 * q * math.lcm(*(abs(d) for _, d in events))
+    ts = set()
+    for n, d in events:
+        # the T = (2Q*m - N)*(D // (2Q*d)) mod D, m = 0..|d|-1, are the residues of
+        # -N*(D // (2Q*d)) mod D // |d|
+        step = big // abs(d)
+        ts.update(range(-n * (big // (2 * q * d)) % step, big, step))
+    # V = |2*x_k*D mod 2D - D|, with 2*x_k*D = 2*C_k*D/Q + 2*T*d_k and C_k = base_k*Q
+    lines = [(2 * c * (big // q), 2 * d) for c, d in coords]
+    ts = sorted(ts)
+    vs = [max(abs((a + t * d) % (2 * big) - big) for a, d in lines) for t in ts]
+    if len(set(vs)) == 1:
+        return CirclePWL((Fraction(0),), (Fraction(vs[0], 2 * big),))
+    # a point stays iff the slope changes there, its neighbours across t = 0 shifted by a
+    # period; dropping a collinear point leaves its neighbours' slopes unchanged
+    ts, vs = [ts[-1] - big, *ts, ts[0] + big], [vs[-1], *vs, vs[0]]
+    kept = [
+        i for i in range(1, len(ts) - 1)
+        if (vs[i] - vs[i - 1]) * (ts[i + 1] - ts[i]) != (vs[i + 1] - vs[i]) * (ts[i] - ts[i - 1])
+    ]
+    return CirclePWL(tuple(Fraction(ts[i], big) for i in kept), tuple(Fraction(vs[i], 2 * big) for i in kept))
 
 
 def restriction_steps(direction: tuple[int, ...]) -> int:

@@ -13,10 +13,10 @@ from .pwl import CirclePWL, build_restriction, restriction_steps
 
 # most sample steps all slices of one plane may take, counted before any slice is built: 4x
 # the 30,024 of 1,0,500;0,1,500, whose spectrum must reach its class-budget refusal, and 11x
-# the benchmark's largest plane (10,896 on FINITE_THREE_TENTHS); on a 2-vCPU VM
-# 1,0,2000;0,1,0 (76,022 steps, 20,002 in each of two slices) answers in 4 s and
-# 700,1,2,3;0,1,1,1 (117,780) in 5.4 s, and a 24-coordinate plane of 552 slices and
-# 2,544,810 steps, which took 35 s, is refused
+# the benchmark's largest plane (10,896 on FINITE_THREE_TENTHS); on a 2-vCPU VM `d` on
+# 1,0,2000;0,1,0 (76,022 steps, 20,002 in each of two slices) answers in 0.4 s and on
+# 700,1,2,3;0,1,1,1 (117,780) in 0.5 s, and a 24-coordinate plane of 552 slices and
+# 2,544,810 steps, whose d_plane takes 1.5 s without the budget, is refused
 PLANE_BUDGET = 120_000
 
 

@@ -1,9 +1,11 @@
 """Pointwise references for the tests: evaluation of circle piecewise-linear functions,
-which restrictions and coset minima are checked against, and the coordinates of a
-lattice vector in a plane basis."""
+which restrictions and coset minima are checked against, their construction from
+samples, and the coordinates of a lattice vector in a plane basis."""
 
 import bisect
 from fractions import Fraction
+
+from lonely_runner.pwl import CirclePWL
 
 
 def evaluate(f, t):
@@ -24,6 +26,34 @@ def evaluate(f, t):
     t1 = bps[j] if bps[j] > t0 else bps[j] + 1
     v1 = vals[j]
     return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+
+def make_pwl(points):
+    """Build a CirclePWL from (t, value) samples, deduplicating and removing collinear points."""
+    seen = {}
+    for t, v in points:
+        t = Fraction(t) % 1
+        if t in seen and seen[t] != v:
+            raise ValueError("conflicting samples at one breakpoint")
+        seen[t] = Fraction(v)
+    pts = sorted(seen.items())
+    if len({v for _, v in pts}) == 1:
+        return CirclePWL((Fraction(0),), (pts[0][1],))
+    # a point stays iff the slope changes there; dropping a collinear point
+    # leaves its neighbours' slopes unchanged, so one pass finds them all
+    n = len(pts)
+    kept = []
+    for i in range(n):
+        t0, v0 = pts[i - 1]
+        t1, v1 = pts[i]
+        t2, v2 = pts[(i + 1) % n]
+        if i == 0:
+            t0 -= 1
+        if i == n - 1:
+            t2 += 1
+        if (v1 - v0) * (t2 - t1) != (v2 - v1) * (t1 - t0):
+            kept.append((t1, v1))
+    return CirclePWL(tuple(t for t, _ in kept), tuple(v for _, v in kept))
 
 
 def plane_coords(w, u, v):

@@ -1,5 +1,6 @@
 """Tests for circle piecewise-linear machinery: envelopes, approx residues, gamma tables."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from goldens import (
     STRIP_QUARTER,
     TENTH_PLANES,
 )
-from pointwise import evaluate
+from pointwise import evaluate, make_pwl
 from lonely_runner import pwl
 from lonely_runner._kernels import UnsupportedRequest
 from lonely_runner.pwl import (
@@ -22,9 +23,8 @@ from lonely_runner.pwl import (
     coset_min_direct,
     dist_to_half,
     gamma_table,
-    make_pwl,
 )
-from lonely_runner.slices import slice_structure
+from lonely_runner.slices import diagonals, slice_structure
 from lonely_runner.spectrum import class_setup
 from lonely_runner.torus import normal_plane
 
@@ -196,6 +196,49 @@ def test_build_restriction_matches_interval_walk_random():
         base = tuple(F(rng.randint(0, 24), rng.randint(1, 12)) for _ in range(n))
         want = interval_walk_restriction(base, direction)
         assert build_restriction(base, direction) == want, (base, direction)
+
+
+def restriction_denominator(base, direction):
+    """D = 2*Q*lcm(|d|) over which build_restriction samples: Q the lcm of the base's
+    denominators, d over the nonzero slopes of the events x_k = 0, 1/2 and x_a = +-x_b."""
+    q = math.lcm(*(F(c).denominator for c in base))
+    slopes = [*direction]
+    slopes += [a + s * b for i, a in enumerate(direction) for b in direction[i + 1 :] for s in (1, -1)]
+    return 2 * q * math.lcm(*(abs(d) for d in slopes if d))
+
+
+def test_build_restriction_matches_interval_walk_big_denominators():
+    # cases where the common denominator D is large: the slices of two planes with big
+    # slopes, long directions with entries up to +-40 (n = 1 needs the x_k = 1/2 events,
+    # which a pair event x_a = +-x_b supplies as soon as there are two coordinates), bases
+    # over pairwise coprime denominators, and directions with zero entries
+    cases = []
+    for u, v in (((1, 0, 500), (0, 1, 500)), ((2, -2, 3), (0, -1, -3))):
+        u, v = normal_plane(u, v)
+        for i, j, eps in diagonals(len(u)):
+            s = slice_structure(u, v, i, j, eps)
+            cases += [(tuple(F(ell * c, s.K) for c in s.v_prime), s.u_prime) for ell in range(s.K)]
+    rng = random.Random(31)
+    for k in range(42):
+        n = 1 + k % 7
+        direction = (0,) * n
+        while not any(direction):
+            direction = tuple(rng.randint(-40, 40) for _ in range(n))
+        cases.append((tuple(F(rng.randint(-30, 30), rng.randint(1, 15)) for _ in range(n)), direction))
+    for _ in range(30):
+        dens = rng.choice(((7, 9, 11), (4, 9, 25), (8, 15, 77), (13, 17, 19, 23)))
+        base = tuple(F(rng.randrange(den), den) for den in dens)
+        cases.append((base, tuple(rng.choice((-1, 1)) * rng.randint(1, 12) for _ in dens)))
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        zeros = rng.randint(1, n - 1)
+        direction = [0] * zeros + [rng.choice((-1, 1)) * rng.randint(1, 25) for _ in range(n - zeros)]
+        rng.shuffle(direction)
+        cases.append((tuple(F(rng.randrange(24), rng.choice((2, 5, 6, 7))) for _ in range(n)), tuple(direction)))
+    for base, direction in cases:
+        assert build_restriction(base, direction) == interval_walk_restriction(base, direction), (base, direction)
+    dens = [restriction_denominator(base, direction) for base, direction in cases]
+    assert sum(d > 2**63 for d in dens) >= 3
 
 
 def runwalk_minimum_structure(f):
