@@ -1,10 +1,7 @@
 """Benchmark the box-sweep kernel on the python and numpy backends and check they agree.
 
-Besides each backend, the numpy backend runs twice more with _kernels.ROW_CUTOFF set
-so that every row is looped (numpy-loop) and every row is vectorized (numpy-vector);
-comparing those two with numpy at the chosen cutoff measures the cutoff again. A last
-numpy run (numpy-floor) sweeps with the plane's d_plane as floor, as the spectrum
-analysis does, and must return the python backend's unfloored rows."""
+Besides each backend, a last numpy run (numpy-floor) sweeps with the plane's d_plane as
+floor, as the spectrum analysis does, and must return the python backend's unfloored rows."""
 
 import argparse
 import json
@@ -14,7 +11,6 @@ import time
 
 import numpy
 
-from lonely_runner import _kernels
 from lonely_runner._kernels import backend, sweep_raw
 from lonely_runner.torus import d_plane
 
@@ -26,9 +22,8 @@ PLANES = {
 }
 
 
-def run_backend(mode, cutoff, floor, u, v, bound, repeats):
+def run_backend(mode, floor, u, v, bound, repeats):
     os.environ["LONELY_RUNNER_KERNEL"] = mode
-    _kernels.ROW_CUTOFF = cutoff
     sweep_raw(u, v, 5, floor=floor)  # warm up
     best = None
     rows = None
@@ -45,26 +40,20 @@ def main():
     ap.add_argument("--plane", choices=sorted(PLANES), default="sector-third")
     ap.add_argument("--bound", type=int, default=150)
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--cutoff", type=int, default=_kernels.ROW_CUTOFF,
-                    help="ROW_CUTOFF of the numpy run (default: the package's)")
     args = ap.parse_args()
     u, v = PLANES[args.plane]
-    cutoff = args.cutoff
     d = d_plane(u, v)
-    # label -> (backend, ROW_CUTOFF, floor)
+    # label -> (backend, floor)
     runs = {
-        "python": ("python", cutoff, (0, 1)),
-        "numpy": ("numpy", cutoff, (0, 1)),
-        "numpy-loop": ("numpy", 10**18, (0, 1)),
-        "numpy-vector": ("numpy", 0, (0, 1)),
-        "numpy-floor": ("numpy", cutoff, (d.numerator, d.denominator)),
+        "python": ("python", (0, 1)),
+        "numpy": ("numpy", (0, 1)),
+        "numpy-floor": ("numpy", (d.numerator, d.denominator)),
     }
     env = {
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
         "kernel_backend": backend(),
         "nproc": os.cpu_count(),
-        "row_cutoff": cutoff,
     }
     print("env " + json.dumps(env, sort_keys=True))
     saved = os.environ.get("LONELY_RUNNER_KERNEL")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from ._kernels import UnsupportedRequest
@@ -45,7 +46,7 @@ class CirclePWL:
         ):
             raise ValueError("breakpoints must be strictly increasing")
 
-    @property
+    @cached_property  # stored in __dict__, past the frozen __setattr__; eq and hash read fields
     def minimum(self) -> Fraction:
         return min(self.values)
 
