@@ -16,8 +16,11 @@ CHECK_PERIODS = 4  # a gamma table is compared with direct coset minima over thi
 # most pieces one gamma table's self-check may read, (CHECK_PERIODS * modulus + 1) times
 # its breakpoints, counted before any gamma is computed: the benchmark's largest table
 # reads 3,036 (2,-2,3;0,-1,-3, modulus 17, 44 pieces), the test suite's 36,640 and the
-# largest of 600 seeded planes (n 3-4, entries -5..5) 95,790, while on a 2-vCPU VM tables
-# near the cap take 3.8 s with 82 pieces (modulus 3,600) and 16 s with 8 (modulus 37,496)
+# largest of 600 seeded planes (n 3-4, entries -5..5) 95,790. On a 2-vCPU VM (Python
+# 3.11) tables near the cap take 0.23 s with 82 pieces (modulus 3,600) and 1.0 s with 8
+# (modulus 37,496), and one with 4 pieces and modulus 24,999 0.5 s: besides its pieces
+# each q costs a call, one Fraction and the cross-multiplied check, and each residue an
+# approx call, so few pieces make a read dearer
 SELFCHECK_BUDGET = 1_200_000
 
 
@@ -49,6 +52,19 @@ class CirclePWL:
     @cached_property  # stored in __dict__, past the frozen __setattr__; eq and hash read fields
     def minimum(self) -> Fraction:
         return min(self.values)
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
+        """(L, P, W, V): breakpoint i is P[i]/L and its value V[i]/W, over the lcm L of the
+        breakpoints' denominators and the lcm W of the values'."""
+        big = math.lcm(*(t.denominator for t in self.breakpoints))
+        w = math.lcm(*(v.denominator for v in self.values))
+        return (
+            big,
+            tuple(t.numerator * (big // t.denominator) for t in self.breakpoints),
+            w,
+            tuple(v.numerator * (w // v.denominator) for v in self.values),
+        )
 
     def flat_pieces_at_min(self) -> list[tuple[Fraction, Fraction]]:
         """Maximal closed intervals (a, b), b <= a+1, on which f equals its minimum.
@@ -142,11 +158,10 @@ def restriction_steps(direction: tuple[int, ...]) -> int:
 
 def approx(tau: Fraction, b: Fraction, q: int) -> tuple[int, int, int]:
     """Residues (r_minus, r_plus, modulus): the nearest points of (b + Z)/q lie
-    r_minus/(modulus*q) below tau and r_plus/(modulus*q) above it."""
+    r_minus/(modulus*q) below tau and r_plus/(modulus*q) above it. Both residues are
+    taken mod modulus, so tau and b count only mod 1."""
     if q < 1:
         raise ValueError("q must be positive")
-    tau = Fraction(tau) % 1
-    b = Fraction(b) % 1
     w, x = tau.numerator, tau.denominator
     y, z = b.numerator, b.denominator
     g = math.gcd(x, z)
@@ -164,24 +179,35 @@ def coset_min_direct(f: CirclePWL, b: Fraction, q: int) -> Fraction:
     piece's least grid value sits at its first integer ceil(s0) when it rises and at its
     last integer floor(s1) when it falls, so each piece gives at most one candidate, and
     none when that integer lies outside it or both its ends lie at or above the best so
-    far: O(breakpoints) work, whatever q is.
+    far: O(breakpoints) work, whatever q is. With L and W the denominators of f.scaled
+    and M = lcm(L, den b), every s is an integer over M and each candidate, a value
+    times W, is num/den with den > 0, so the walk runs in integers and compares
+    candidates by cross-multiplication; only the result becomes a Fraction.
     """
     if q < 1:
         raise ValueError("q must be positive")
-    bps, vals = f.breakpoints, f.values
-    n = len(bps)
-    best = max(vals)  # no grid value lies above it, so a piece flat at it needs no visit
-    for i in range(n):
-        j = (i + 1) % n
-        v0, v1 = vals[i], vals[j]
-        if min(v0, v1) >= best:
+    big, ps, w, vs = f.scaled
+    big_m = math.lcm(big, b.denominator)
+    step, off = q * (big_m // big), b.numerator * (big_m // b.denominator)
+    # no grid value lies above max(vs), so a piece flat at it needs no visit
+    best_n, best_d = max(vs), 1
+    for p0, p1, v0, v1 in zip(ps, (*ps[1:], ps[0] + big), vs, (*vs[1:], vs[0])):
+        if (v0 if v0 < v1 else v1) * best_d >= best_n:
             continue
-        s0 = q * bps[i] - b
-        s1 = q * (bps[j] + (j == 0)) - b
-        r = math.ceil(s0) if v1 >= v0 else math.floor(s1)
-        if s0 <= r <= s1:
-            best = min(best, v0 + (v1 - v0) * (r - s0) / (s1 - s0))
-    return best
+        s0, s1 = step * p0 - off, step * p1 - off
+        if v1 >= v0:
+            r = -(-s0 // big_m) * big_m
+            if r > s1:
+                continue
+        else:
+            r = s1 // big_m * big_m
+            if r < s0:
+                continue
+        den = s1 - s0
+        num = v0 * den + (v1 - v0) * (r - s0)
+        if num * best_d < best_n * den:
+            best_n, best_d = num, den
+    return Fraction(best_n, best_d * w)
 
 
 @dataclass(frozen=True)
@@ -217,19 +243,30 @@ def gamma_table(f: CirclePWL, b: Fraction) -> GammaTable:
     if flats:
         gammas = [Fraction(0)]
     else:
-        # residue 0 is read at q = mod
-        gammas = [
-            min(
-                Fraction(min(lm * rm, lp * rp), res_mod)
-                for t, lm, lp, _ in iso
-                for rm, rp, res_mod in [approx(t, b, res_q or mod)]
-            )
-            for res_q in range(mod)
+        # over the lcm lam of the slopes' denominators, argmin t gives gamma candidates
+        # min(sm*rm, sp*rp)/(lam*res_mod), and each residue's least becomes one Fraction
+        lam = math.lcm(*(x.denominator for _, lm, lp, _ in iso for x in (lm, lp)))
+        slopes = [
+            (t, lm.numerator * (lam // lm.denominator), lp.numerator * (lam // lp.denominator))
+            for t, lm, lp, _ in iso
         ]
+        gammas = []
+        for res_q in range(mod):
+            gn = gd = None
+            for t, sm, sp in slopes:
+                rm, rp, res_mod = approx(t, b, res_q or mod)  # residue 0 is read at q = mod
+                n = min(sm * rm, sp * rp)
+                if gn is None or n * gd < gn * res_mod:
+                    gn, gd = n, res_mod
+            gammas.append(Fraction(gn, gd * lam))
     table = GammaTable(mod, tuple(gammas), q0)
+    # direct == m + gamma/q, with m = mn/md and gamma = gn/gd, cross-multiplied as
+    # direct.numerator * md*gd*q == direct.denominator * (mn*gd*q + gn*md)
+    mn, md = m.numerator, m.denominator
+    ints = [(g.numerator * md, g.denominator) for g in gammas]
     for q in range(q0, q0 + CHECK_PERIODS * mod + 1):
         direct = coset_min_direct(f, b, q)
-        formula = m + table.gamma[q % mod] / q
-        if direct != formula:
+        gn, gd = ints[q % mod]
+        if direct.numerator * md * gd * q != direct.denominator * (mn * gd * q + gn):
             raise RuntimeError("gamma table self-check failed")
     return table

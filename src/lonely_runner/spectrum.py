@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cmp_to_key
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,8 +19,9 @@ WITNESS_RANGE = 11  # progression indices 0..10 are checked for witnesses
 DEFAULT_BOUND = 200  # certification box bound when none is given
 
 # most class records one analysis may build: 3.1x the test suite's most (79,800 half-line
-# records on 1,1,-3,0,-2;-1,-3,-2,1,2) and 868x the benchmark's (288); at about 100 us a
-# record on a 2-vCPU VM the largest analysis allowed builds its records in about 25 s
+# records on 1,1,-3,0,-2;-1,-3,-2,1,2) and 868x the benchmark's (288); on a 2-vCPU VM a
+# half-line record takes about 8 us and a sector class about 35 us (3,3,3,-3;3,4,-3,1), so
+# the largest analysis allowed builds its records in about 9 s
 CLASS_BUDGET = 250_000
 
 
@@ -203,6 +205,10 @@ def halfline_analysis(
         if qd != 0:
             sg = _sign(qd)
             growing.append((c, sg, sg * c.q_of(bA, bB), abs(qd), abs(qd) * mt))
+    # the floor m2 - d as (numerator, denominator), when there is an m2
+    dn, dd = d.numerator, d.denominator
+    m2 = setup.m2
+    m2_floor = [] if m2 is None else [(m2.numerator * dd - dn * m2.denominator, m2.denominator * dd)]
     # (q0 - ch) * (ph_lcm // ph) orders the thresholds (q0 - ch) / ph in integers
     ph_lcm = math.lcm(*(g[4] for g in growing))
     records = []
@@ -228,32 +234,63 @@ def halfline_analysis(
             s0 = max(0, -((ch - q0) // ph))
             records.append(LineClassRecord("base", s0=s0, winner=c.key))
             continue
-        cw, gw, pw, c0w, _ = max(cands, key=lambda t: (t[2] / t[1], t[3] / t[1]))
+        # every gamma is now n/m > 0, so the comparisons below cross-multiply integers
+        cw, gw, pw, c0w, _ = _halfline_winner(cands)
+        wn, wm = gw.numerator, gw.denominator
         s0 = 0
         for c, gam, ph, ch, q0 in cands:
             s0 = max(s0, -((ch - q0) // ph))
             if c is cw:
                 continue
-            coeff = gw * ph - gam * pw
-            if coeff < 0:
-                s0 = max(s0, math.ceil((gam * c0w - gw * ch) / coeff))
-        floors = [v - d for v in consts]
-        if setup.m2 is not None:
-            floors.append(setup.m2 - d)
-        for fl in floors:
-            s0 = max(s0, math.ceil((gw / fl - c0w) / pw))
+            n, m = gam.numerator, gam.denominator
+            # coeff = gw*ph - gam*pw and gam*c0w - gw*ch are k and (n*c0w*wm - wn*ch*m)
+            # over wm*m, so the ceiling of their ratio is a floor division by k
+            k = wn * ph * m - n * pw * wm
+            if k < 0:
+                s0 = max(s0, -((wn * ch * m - n * c0w * wm) // k))
+        # each floor fa/fb = v - d, and (gw/fl - c0w)/pw = (wn*fb - c0w*wm*fa)/(wm*fa*pw)
+        floors = [(v.numerator * dd - dn * v.denominator, v.denominator * dd) for v in consts] + m2_floor
+        for fa, fb in floors:
+            s0 = max(s0, -((c0w * wm * fa - wn * fb) // (wm * fa * pw)))
         rec = LineClassRecord("family", gamma=gw, slope=pw, const=c0w, s0=s0, winner=cw.key)
         records.append(rec)
     return records
 
 
-def _clockwise_key(ray: tuple[int, int]):
-    a, b = ray
-    if a == 0 and b > 0:
-        return (0, Fraction(0))
-    if a == 0:
-        return (2, Fraction(0))
-    return (1, Fraction(-b, a))
+def _halfline_winner(cands: list[tuple]) -> tuple:
+    """The first of cands (c, gamma, slope, q, q0), each gamma n/m > 0, with the greatest
+    (slope/gamma, q/gamma), compared by cross-multiplication."""
+    win = cands[0]
+    wn, wm = win[1].numerator, win[1].denominator
+    for t in cands[1:]:
+        n, m = t[1].numerator, t[1].denominator
+        by_slope = t[2] * m * wn - win[2] * wm * n
+        if by_slope > 0 or (by_slope == 0 and t[3] * m * wn > win[3] * wm * n):
+            win, wn, wm = t, n, m
+    return win
+
+
+def _clockwise(r1: tuple[int, int], r2: tuple[int, int]) -> int:
+    """Negative when ray r1 comes before r2 clockwise from (0, 1); both have A > 0."""
+    return r1[0] * r2[1] - r1[1] * r2[0]
+
+
+def _mediant_winner(forms: list[tuple], da: int, db: int) -> tuple:
+    """The (E, F, g, n, m) of forms, gamma g = n/m, whose (g/q, g, E, F) is least over
+    those with q = E*da + F*db > 0, compared by cross-multiplication."""
+    best = None
+    for form in forms:
+        E, F, _, n, m = form
+        q = E * da + F * db
+        assert q != 0, "kernel ray crosses a sector interior"
+        if q <= 0:
+            continue
+        if best is not None:
+            # n/(m*q) against bn/(bm*bq), then n/m against bn/bm, then (E, F)
+            if (n * bm * bq - bn * m * q, n * bm - bn * m, (E, F)) > (0, 0, best[:2]):
+                continue
+        best, bn, bm, bq = form, n, m, q
+    return best
 
 
 def sector_decomposition(setup: ClassSetup, gammas: tuple) -> tuple[SectorRecord, ...]:
@@ -271,17 +308,12 @@ def sector_decomposition(setup: ClassSetup, gammas: tuple) -> tuple[SectorRecord
         pe, pf = n2 * m1 * E1 - n1 * m2 * E2, n2 * m1 * F1 - n1 * m2 * F2
         if pe or pf:
             rays.add(primitive_kernel(pe, pf))
-    ordered = sorted(rays, key=_clockwise_key)
+    # (0, 1) and (0, -1) bound the half-plane A >= 0 that holds every other ray
+    ordered = [(0, 1), *sorted((r for r in rays if r[0]), key=cmp_to_key(_clockwise)), (0, -1)]
+    cands = [(E, F, g, g.numerator, g.denominator) for E, F, g in forms]
     recs = []
     for r1, r2 in zip(ordered, ordered[1:]):
-        da, db = r1[0] + r2[0], r1[1] + r2[1]
-        cands = []
-        for E, F, g in forms:
-            q = E * da + F * db
-            assert q != 0, "kernel ray crosses a sector interior"
-            if q > 0:
-                cands.append((g / q, g, E, F))
-        _, gw, E, F = min(cands)
+        E, F, gw, _, _ = _mediant_winner(cands, r1[0] + r2[0], r1[1] + r2[1])
         if gw == 0:
             recs.append(SectorRecord(r1, r2, 0, winner=forms[E, F, gw]))
         else:

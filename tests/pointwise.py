@@ -1,8 +1,10 @@
 """Pointwise references for the tests: evaluation of circle piecewise-linear functions,
 which restrictions and coset minima are checked against, their construction from
-samples, and the coordinates of a lattice vector in a plane basis."""
+samples, the coset minimum and the sector and half-line winners in Fraction arithmetic,
+and the coordinates of a lattice vector in a plane basis."""
 
 import bisect
+import math
 from fractions import Fraction
 
 from lonely_runner.pwl import CirclePWL
@@ -54,6 +56,46 @@ def make_pwl(points):
         if (v1 - v0) * (t2 - t1) != (v2 - v1) * (t1 - t0):
             kept.append((t1, v1))
     return CirclePWL(tuple(t for t, _ in kept), tuple(v for _, v in kept))
+
+
+def coset_min_fraction(f, b, q):
+    """Minimum of f over the grid (b + Z)/q by the breakpoint walk of pwl.coset_min_direct,
+    in Fractions: in s = q*t - b each piece [s0, s1] offers ceil(s0) if it rises and
+    floor(s1) if it falls, and a piece with both ends at or above the best is skipped."""
+    if q < 1:
+        raise ValueError("q must be positive")
+    bps, vals = f.breakpoints, f.values
+    n = len(bps)
+    best = max(vals)
+    for i in range(n):
+        j = (i + 1) % n
+        v0, v1 = vals[i], vals[j]
+        if min(v0, v1) >= best:
+            continue
+        s0 = q * bps[i] - b
+        s1 = q * (bps[j] + (j == 0)) - b
+        r = math.ceil(s0) if v1 >= v0 else math.floor(s1)
+        if s0 <= r <= s1:
+            best = min(best, v0 + (v1 - v0) * (r - s0) / (s1 - s0))
+    return best
+
+
+def mediant_winner(forms, da, db):
+    """The form (E, F, gamma, ...) of forms with the least (gamma/q, gamma, E, F) over those
+    with q = E*da + F*db > 0, gamma/q a Fraction."""
+    cands = []
+    for form in forms:
+        E, F, g = form[:3]
+        q = E * da + F * db
+        if q > 0:
+            cands.append(((g / q, g, E, F), form))
+    return min(cands, key=lambda c: c[0])[1]
+
+
+def halfline_winner(cands):
+    """The first candidate (c, gamma, slope, q, q0) of cands with the greatest
+    (slope/gamma, q/gamma), gamma > 0 a Fraction, as max keeps the first on ties."""
+    return max(cands, key=lambda t: (t[2] / t[1], t[3] / t[1]))
 
 
 def plane_coords(w, u, v):

@@ -13,7 +13,7 @@ from goldens import (
     STRIP_QUARTER,
     TENTH_PLANES,
 )
-from pointwise import evaluate, make_pwl
+from pointwise import coset_min_fraction, evaluate, make_pwl
 from lonely_runner import pwl
 from lonely_runner._kernels import UnsupportedRequest
 from lonely_runner.pwl import (
@@ -445,8 +445,10 @@ def test_coset_min_direct_matches_full_grid_random():
 
 
 def test_coset_min_direct_matches_full_grid_golden_windows():
-    # every slice restriction of the goldens, against each offset it is read at, at the
-    # q0 and the last q of that table's window; the critical ones are the tables built
+    # every slice restriction of the goldens, against each offset it is read at: at every
+    # q of that table's window equal to the Fraction walk, and at its q0 and last q to
+    # the full grid; the critical ones are the tables built
+    qs = 0
     for plane in GOLDEN_PLANES:
         setup = class_setup(*plane)
         windows = {c._coset_key(a): c.f for c in setup.comps for a in range(c.K)}
@@ -458,9 +460,46 @@ def test_coset_min_direct_matches_full_grid_golden_windows():
             except UnsupportedRequest:
                 assert key not in tables
                 continue
-            q0, mod = table.q0, table.modulus
-            for q in (q0, q0 + pwl.CHECK_PERIODS * mod):
+            q0, last = table.q0, table.q0 + pwl.CHECK_PERIODS * table.modulus
+            for q in range(q0, last + 1):
+                assert coset_min_direct(f, b, q) == coset_min_fraction(f, b, q), (plane, key, q)
+                qs += 1
+            for q in (q0, last):
                 assert coset_min_direct(f, b, q) == grid_min(f, b, q), (plane, key, q)
+    assert qs >= 2000, qs
+
+
+def test_coset_min_direct_matches_fraction_walk_big_denominators():
+    # hand-built functions whose breakpoints have denominators up to 2^40 and beyond,
+    # against offsets b with large or negative numerators and denominators and q up to
+    # 10^9; the minimum must also be the wrap piece's least grid value in enough cases,
+    # that piece's ends read pointwise (f is linear on it)
+    rng = random.Random(67)
+    dens = (2**40, 2**40 - 87, 3**25, 10**12 + 39, 720720)
+    seen = dict.fromkeys(["den_2^40", "b_negative", "b_den_big", "q_big", "wrap_min", "single"], 0)
+    for k in range(1500):
+        den = rng.choice(dens)
+        if k % 10 == 0:
+            f = CirclePWL((F(rng.randrange(den), den),), (F(rng.randrange(den), 2 * den),))
+        else:
+            ts = sorted({F(rng.randrange(den), den) for _ in range(rng.randint(2, 9))})
+            vden = rng.choice((12, den, 2**41 + 1))
+            f = CirclePWL(tuple(ts), tuple(F(rng.randrange(vden // 2 + 1), vden) for _ in ts))
+        bden = rng.choice((1, 3, 10**6 + 3, 2**40, 3**25 + 2))
+        b = F(rng.randint(-5 * bden, 5 * bden), bden)
+        q = rng.choice((rng.randint(1, 50), rng.randint(1, 10**9)))
+        want = coset_min_fraction(f, b, q)
+        assert coset_min_direct(f, b, q) == want, (f, b, q)
+        bps = f.breakpoints
+        first, last = math.ceil(q * bps[-1] - b), math.floor(q * (bps[0] + 1) - b)
+        wrap = [evaluate(f, (r + b) / q) for r in {first, last} if first <= last]
+        seen["den_2^40"] += max(t.denominator for t in bps) >= 2**40
+        seen["b_negative"] += b < 0
+        seen["b_den_big"] += b.denominator >= 10**6
+        seen["q_big"] += q > 10**6
+        seen["wrap_min"] += len(bps) > 1 and min(wrap, default=None) == want
+        seen["single"] += len(bps) == 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_gamma_table_speeds_1123():
@@ -511,6 +550,43 @@ def test_gamma_table_selfcheck_rejects_one_wrong_residue(monkeypatch, residue, c
     monkeypatch.setattr(pwl, "approx", wrong)
     with pytest.raises(RuntimeError, match="^gamma table self-check failed$"):
         gamma_table(f, F(0))
+
+
+SMALLEST_STEP_TABLES = [
+    ("speeds-1123", ((0, 0, 0, 0), (1, 1, 2, 3)), F(0)),
+    ("offset-2/7", ((F(1, 2), F(1, 2), 0, 0), (1, 0, 1, 1)), F(2, 7)),
+    ("sector-third", None, None),
+]
+
+
+@pytest.mark.parametrize("name, restriction, b", SMALLEST_STEP_TABLES, ids=[t[0] for t in SMALLEST_STEP_TABLES])
+@pytest.mark.parametrize("k", [1, 2**40])
+def test_gamma_table_selfcheck_rejects_smallest_gamma_step(monkeypatch, name, restriction, b, k):
+    # approx residues scaled with their modulus by k, plus 1, raise one residue's gamma by
+    # at most max(lambda)/(k*modulus), the least step over the table's denominators; the
+    # self-check must see it at every residue
+    if restriction is None:
+        setup = class_setup(*SECTOR_THIRD)
+        c = next(c for c in setup.critical if not c.f.flat_pieces_at_min() and c.K > 1)
+        f, b = c.f, F(c.ell % c.K, c.K)
+    else:
+        f = build_restriction(*restriction)
+    table = gamma_table(f, b)
+    assert table.modulus > 1
+    real = pwl.approx
+    for residue in range(table.modulus):
+
+        def nudged(tau, b, q):
+            rm, rp, mod = real(tau, b, q)
+            if q % table.modulus != residue:
+                return rm, rp, mod
+            return k * rm + 1, k * rp + 1, k * mod
+
+        monkeypatch.setattr(pwl, "approx", nudged)
+        with pytest.raises(RuntimeError, match="^gamma table self-check failed$"):
+            gamma_table(f, b)
+    monkeypatch.setattr(pwl, "approx", real)
+    assert gamma_table(f, b) == table
 
 
 def test_gamma_table_random_restrictions_certify():

@@ -18,6 +18,7 @@ from goldens import (
     STRIP_TENTH_A,
     STRIP_TENTH_B,
 )
+from pointwise import halfline_winner, mediant_winner
 from lonely_runner import spectrum
 from lonely_runner._kernels import UnsupportedRequest
 from lonely_runner.pwl import build_restriction, coset_min_direct, gamma_table
@@ -359,6 +360,105 @@ def test_sector_records_are_the_lower_envelope(plane, directions, digest):
                 assert got == least, ((aleph, beth), r, (A, B))
                 checked += 1
     assert checked == directions
+
+
+def seeded_sector_planes(count, seed):
+    """count planes (n 3-4, entries -3..3) that take the sector route, none flat at d."""
+    rng = random.Random(seed)
+    planes = []
+    while len(planes) < count:
+        n = rng.randint(3, 4)
+        u, v = (tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(2))
+        try:
+            setup = class_setup(u, v)
+        except (ValueError, UnsupportedRequest):
+            continue
+        if not setup.flats and setup.m_prime <= 60:
+            planes.append((u, v))
+    return planes
+
+
+def test_mediant_winner_matches_fraction_reference(monkeypatch):
+    # every mediant sector_decomposition reads on the sector goldens, the generic plane and
+    # seeded sector-route planes: the integer winner is the Fraction one, ties on gamma/q
+    # included, and the records built with the Fraction winner are the library's
+    planes = [SECTOR_QUARTER, SECTOR_TENTH_A, SECTOR_TENTH_B, SECTOR_THIRD, GENERIC]
+    planes += seeded_sector_planes(30, 71)
+    real = spectrum._mediant_winner
+    counts = {"mediants": 0, "tie_on_ratio": 0, "tie_broken_by_gamma": 0}
+
+    def checked(forms, da, db):
+        got = real(forms, da, db)
+        assert got == mediant_winner(forms, da, db), (forms, da, db)
+        ratios = [(g / q, g) for E, F, g, *_ in forms if (q := E * da + F * db) > 0]
+        least = min(r for r, _ in ratios)
+        tied = {g for r, g in ratios if r == least}
+        counts["mediants"] += 1
+        counts["tie_on_ratio"] += sum(r == least for r, _ in ratios) > 1
+        counts["tie_broken_by_gamma"] += len(tied) > 1
+        return got
+
+    for plane in planes:
+        monkeypatch.setattr(spectrum, "_mediant_winner", checked)
+        records = SpectrumAnalysis(*plane).sector_records
+        monkeypatch.setattr(spectrum, "_mediant_winner", mediant_winner)
+        assert SpectrumAnalysis(*plane).sector_records == records, plane
+    # the planes tie only forms with gamma 0, which (E, F) orders; proportional forms
+    # c*(E, F, gamma) tie with different gammas, so seeded form lists add those
+    assert counts["mediants"] >= 3000 and counts["tie_on_ratio"] >= 500, counts
+    rng = random.Random(73)
+    for _ in range(1000):
+        da, db = rng.randint(1, 9), rng.randint(-9, 9)
+        forms = {}
+        for _ in range(rng.randint(1, 4)):
+            E, F, g = rng.randint(-3, 3), rng.randint(-3, 3), Fr(rng.randint(0, 4), rng.randint(1, 4))
+            for c in rng.sample((1, 2, 3, -1, -2), 3):
+                if E * da + F * db != 0:
+                    forms.setdefault((c * E, c * F, abs(c) * g), None)
+        forms = [(E, F, g, g.numerator, g.denominator) for E, F, g in forms]
+        if any(E * da + F * db > 0 for E, F, *_ in forms):
+            checked(forms, da, db)
+    assert counts["tie_broken_by_gamma"] >= 100, counts
+
+
+def test_halfline_winner_matches_fraction_reference(monkeypatch):
+    # every half-line winner of the strip goldens and of seeded lines-route planes of at
+    # most 3,000 records: the integer winner is the candidate max picks by Fraction keys,
+    # the first one on full ties, and the records built with the Fraction winner are equal
+    monkeypatch.setattr(spectrum, "CLASS_BUDGET", 20_000)
+    real = spectrum._halfline_winner
+    counts = {"winners": 0, "full_tie": 0}
+
+    def checked(cands):
+        got = real(cands)
+        assert got is halfline_winner(cands), cands
+        keys = [(ph / gam, ch / gam) for _, gam, ph, ch, _ in cands]
+        counts["winners"] += 1
+        counts["full_tie"] += keys.count(max(keys)) > 1
+        return got
+
+    def planes():
+        yield from (STRIP_QUARTER, STRIP_TENTH_A, STRIP_TENTH_B)
+        rng = random.Random(71)
+        while True:
+            n = rng.randint(3, 4)
+            yield tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(2))
+
+    checked_planes = 0
+    for plane in planes():
+        monkeypatch.setattr(spectrum, "_halfline_winner", checked)
+        try:
+            records = SpectrumAnalysis(*plane).flat_lines
+        except (ValueError, UnsupportedRequest):
+            continue
+        if not records:
+            continue
+        monkeypatch.setattr(spectrum, "_halfline_winner", halfline_winner)
+        assert SpectrumAnalysis(*plane).flat_lines == records, plane
+        checked_planes += 1
+        if checked_planes == 12:
+            break
+    assert counts["winners"] >= 3000 and counts["full_tie"] >= 300, counts
 
 
 def test_normalize_beta():
